@@ -157,11 +157,9 @@ def _cmd_asymptotic(args) -> int:
                     for x in args.grid]
             _emit(args, "asymptotic", params, ("x", "finite_cdf", "limit_cdf"), rows)
         else:
-            rows = []
-            for pf in args.grid:
-                mu = roc.calibrate_threshold(dims, pf)
-                rows.append((pf, roc.detection_probability(dims, eta, mu),
-                             roc.asymptotic_roc_scaled(regime.theta, pf)))
+            pd = roc.detection_probability(dims, eta, roc.calibrate_threshold(dims, args.grid))
+            rows = [(pf, d, roc.asymptotic_roc_scaled(regime.theta, pf))
+                    for pf, d in zip(args.grid, pd)]
             _emit(args, "asymptotic", params,
                   ("p_false_alarm", "p_detection_finite", "p_detection_limit"), rows)
         return 0
@@ -178,10 +176,8 @@ def _cmd_asymptotic(args) -> int:
         _emit(args, "asymptotic", params, ("x", "finite_cdf", "limit_cdf"), rows)
     else:
         # in this regime the limiting ROC is the chance line
-        rows = []
-        for pf in args.grid:
-            mu = roc.calibrate_threshold(dims, pf)
-            rows.append((pf, roc.detection_probability(dims, args.snr, mu), pf))
+        pd = roc.detection_probability(dims, args.snr, roc.calibrate_threshold(dims, args.grid))
+        rows = list(zip(args.grid, pd, args.grid))
         _emit(args, "asymptotic", params,
               ("p_false_alarm", "p_detection_finite", "p_detection_limit"), rows)
     return 0

@@ -101,11 +101,29 @@ class SpikeParam:
 # log-scale entry evaluation, vectorized over t
 # ---------------------------------------------------------------------------
 
-def _log_psi(dims: ProblemDims, i: int, j: int, ts: np.ndarray):
-    """(log|.|, sign) of Psi_{i,j}(t) = (m+i+beta-1)_{j-2} P_{m+i-j}^{(j-2, beta+j-2)}(2/t+1)."""
-    m, beta = dims.m, dims.beta
-    logmag, sign = jacobi_p_log(m + i - j, j - 2, beta + j - 2, 2.0 / ts + 1.0)
-    return logmag + log_pochhammer(m + i + beta - 1, j - 2), sign
+def _log_psi_block(dims: ProblemDims, rows, ts: np.ndarray):
+    """(log|.|, sign) of the Psi block: rows i in ``rows``, columns j = 2..alpha+1.
+
+    Psi_{i,j}(t) = (m+i+beta-1)_{j-2} P_{m+i-j}^{(j-2, beta+j-2)}(2/t+1).  Within a
+    column the Jacobi parameters are fixed and only the degree moves with the
+    row, so one recurrence per column yields the whole column.  Both arrays
+    have shape ts.shape + (len(rows), alpha).
+    """
+    m, beta, alpha = dims.m, dims.beta, dims.alpha
+    rows = list(rows)
+    cols = range(2, alpha + 2)
+    x = 2.0 / ts + 1.0
+    logmag = np.empty((len(rows), alpha) + ts.shape)
+    sign = np.empty((len(rows), alpha) + ts.shape)
+    m_plus_i = m + np.array(rows)
+    for c, j in enumerate(cols):
+        logmag[:, c], sign[:, c] = jacobi_p_log(m_plus_i - j, j - 2, beta + j - 2, x)
+    poch = np.array([[log_pochhammer(m + i + beta - 1, j - 2) for j in cols] for i in rows])
+    logmag += poch.reshape(poch.shape + (1,) * ts.ndim)
+    # (row, column, t...) -> (t..., row, column), contiguous as the determinant expects
+    axes = tuple(range(2, ts.ndim + 2)) + (0, 1)
+    return (np.ascontiguousarray(logmag.transpose(axes)),
+            np.ascontiguousarray(sign.transpose(axes)))
 
 
 def _log_phi(dims: ProblemDims, eta: float, i: int, ts: np.ndarray):
@@ -182,8 +200,7 @@ def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
     sign = np.empty(ts.shape + (k, k))
     for i in range(1, k + 1):
         logmag[..., i - 1, 0], sign[..., i - 1, 0] = _log_phi(dims, eta, i, ts)
-        for j in range(2, k + 1):
-            logmag[..., i - 1, j - 1], sign[..., i - 1, j - 1] = _log_psi(dims, i, j, ts)
+    logmag[..., 1:], sign[..., 1:] = _log_psi_block(dims, range(1, k + 1), ts)
     dsign, dlog = _det_stack(logmag, sign)
     logpref = (_log_k_const(dims) - math.lgamma(dims.p) - dims.p * math.log1p(eta)
                + dims.m * (dims.n + dims.p - dims.m) * (np.log(ts) - np.log1p(ts)))
@@ -197,13 +214,7 @@ def _null_grid(dims: ProblemDims, ts: np.ndarray) -> np.ndarray:
                + m * (n + p - m) * (np.log(ts) - np.log1p(ts)))
     if alpha == 0:
         return np.exp(logpref)
-    logmag = np.empty(ts.shape + (alpha, alpha))
-    sign = np.empty(ts.shape + (alpha, alpha))
-    for i in range(1, alpha + 1):
-        for j in range(1, alpha + 1):
-            logmag[..., i - 1, j - 1], sign[..., i - 1, j - 1] = \
-                _log_psi(dims, i + 1, j + 1, ts)
-    dsign, dlog = _det_stack(logmag, sign)
+    dsign, dlog = _det_stack(*_log_psi_block(dims, range(2, alpha + 2), ts))
     return dsign * np.exp(logpref + dlog)
 
 
@@ -225,8 +236,8 @@ def psi_entry(dims: ProblemDims, i: int, j: int, t: float) -> float:
         raise ValueError(f"j={j} out of range [2, {dims.alpha + 1}]")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    logmag, sign = _log_psi(dims, i, j, np.asarray([float(t)]))
-    return float(sign[0] * np.exp(logmag[0]))
+    logmag, sign = _log_psi_block(dims, [i], np.asarray([float(t)]))
+    return float(sign[0, 0, j - 2] * np.exp(logmag[0, 0, j - 2]))
 
 
 def phi_entry(dims: ProblemDims, spike: SpikeParam, i: int, t: float) -> LogScaled:
@@ -255,14 +266,9 @@ def psi_minor_determinant(dims: ProblemDims, t: float, drop_row: int = 1) -> Log
         return LogScaled(0.0, 1)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    ts = np.asarray([float(t)])
     rows = [i for i in range(1, alpha + 2) if i != drop_row]
-    logmag = np.empty((alpha, alpha))
-    sign = np.empty((alpha, alpha))
-    for a, i in enumerate(rows):
-        for b, j in enumerate(range(2, alpha + 2)):
-            lm, sg = _log_psi(dims, i, j, ts)
-            logmag[a, b], sign[a, b] = lm[0], sg[0]
+    logmag, sign = _log_psi_block(dims, rows, np.asarray([float(t)]))
+    logmag, sign = logmag[0], sign[0]
     colmax = logmag.max(axis=0)
     colmax = np.where(np.isfinite(colmax), colmax, 0.0)
     det = detmat.det_scaled(sign * np.exp(logmag - colmax))

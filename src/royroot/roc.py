@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .finite_cdf import (ProblemDims, SpikeParam, cdf_null, cdf_test_statistic,
-                         psi_minor_determinant)
+import numpy as np
+
+from .finite_cdf import (ProblemDims, SpikeParam, _log_k_const, cdf_null,
+                         cdf_test_statistic, psi_minor_determinant)
 
 __all__ = [
     "BracketingError",
@@ -33,7 +35,10 @@ __all__ = [
     "snr_to_db",
 ]
 
-_PROB_TOL = 1e-12
+_PROB_TOL = 1e-12     # a calibration stops at |F - prob| <= this,
+_STALL_TOL = 1e-9     # or accepts this residual once its bracket collapses
+_EXPAND = 80          # the bracket search stops at T = 4^80 and 4^-80
+_MAX_STEPS = 400      # bracket search plus refinement; brackets collapse far sooner
 
 
 class BracketingError(RuntimeError):
@@ -77,78 +82,89 @@ def snr_to_db(gamma: float) -> float:
     return 10.0 * math.log10(gamma)
 
 
-def _invert_null_cdf(dims: ProblemDims, prob: float) -> float:
-    """Solve cdf_null(dims, T) = prob for T (F-matrix scale).
+def _invert_null_cdf(dims: ProblemDims, probs) -> np.ndarray:
+    """Solve cdf_null(dims, T) = prob for T (F-matrix scale), elementwise.
 
-    Bracketed bisection with a guarded secant refinement each iteration;
-    converges to |cdf - prob| <= 1e-12.  Strict monotonicity of the CDF
-    makes the root unique.
+    Each element steps T from 1 by factors of 4 until it brackets its root,
+    then takes false-position steps on log T against logit F with the
+    Illinois modification, bisecting T instead whenever such a step failed
+    to halve the best residual.  The null CDF behaves like a power of T at
+    both tails, so logit F is close to linear in log T.  An element stops at
+    |F - prob| <= 1e-12; if its bracket collapses first, the best point seen
+    is accepted when its residual is at most 1e-9.  Elements are
+    independent: each step evaluates the CDF only where it is still needed.
     """
-    def f(t):
-        return cdf_null(dims, t) - prob
-
-    lo = hi = 1.0
-    flo = fhi = f(1.0)
-    for _ in range(80):
-        if fhi > 0:
+    probs = np.asarray(probs, dtype=float).ravel()
+    out = np.empty(probs.size)
+    idx = np.arange(probs.size)                  # elements still being solved
+    logit_p = np.log(probs) - np.log1p(-probs)
+    lo = hi = glo = ghi = np.full(probs.size, np.nan)    # bracket ends, NaN until found
+    best, rbest = np.ones(probs.size), np.full(probs.size, np.inf)
+    last_lo = secant = np.zeros(probs.size, dtype=bool)
+    t = np.ones(probs.size)
+    for step in range(_MAX_STEPS):
+        if idx.size == 0:
             break
-        hi *= 4.0
-        fhi = f(hi)
-    else:
-        raise BracketingError(f"no upper bracket: cdf({hi:.3g}) = {fhi + prob:.6g} < {prob}")
-    for _ in range(80):
-        if flo < 0:
-            break
-        lo /= 4.0
-        flo = f(lo)
-    else:
-        raise BracketingError(f"no lower bracket: cdf({lo:.3g}) = {flo + prob:.6g} > {prob}")
-
-    best, fbest = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    for _ in range(300):
-        if abs(fbest) <= _PROB_TOL:
-            return best
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) < abs(fbest):
-            best, fbest = mid, fmid
-        if fmid < 0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        # secant step inside the updated bracket
-        if fhi != flo:
-            sec = lo - flo * (hi - lo) / (fhi - flo)
-            if lo < sec < hi:
-                fsec = f(sec)
-                if abs(fsec) < abs(fbest):
-                    best, fbest = sec, fsec
-                if fsec < 0:
-                    lo, flo = sec, fsec
-                else:
-                    hi, fhi = sec, fsec
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    if abs(fbest) <= 1e-9:
-        return best
-    raise BracketingError(
-        f"calibration stalled on [{lo:.17g}, {hi:.17g}] with residual {fbest:.3g}")
+        f = np.broadcast_to(cdf_null(dims, t), t.shape)
+        r = f - probs
+        with np.errstate(divide="ignore"):
+            g = np.log(f) - np.log1p(-f) - logit_p
+        a, abest = np.abs(r), np.abs(rbest)
+        bisect = secant & (a > 0.5 * abest)
+        best, rbest = np.where(a < abest, t, best), np.where(a < abest, r, rbest)
+        below = r < 0
+        # Illinois: halve the value at an end kept two steps in a row
+        ghi = np.where(below & last_lo, 0.5 * ghi, ghi)
+        glo = np.where(~below & ~last_lo, 0.5 * glo, glo)
+        lo, glo = np.where(below, t, lo), np.where(below, g, glo)
+        hi, ghi = np.where(below, hi, t), np.where(below, ghi, g)
+        last_lo = below
+        done = a <= _PROB_TOL
+        if step == _EXPAND:
+            for k in np.flatnonzero(~done & np.isnan(lo + hi)):
+                side, cmp = ("lower", ">") if np.isnan(lo[k]) else ("upper", "<")
+                raise BracketingError(
+                    f"no {side} bracket: cdf({t[k]:.3g}) = {f[k]:.6g} {cmp} {probs[k]}")
+        stalled = ~done & ((hi - lo <= 1e-15 * np.maximum(1.0, hi)) | (step == _MAX_STEPS - 1))
+        if (done | stalled).any():
+            for k in np.flatnonzero(stalled & (np.abs(rbest) > _STALL_TOL)):
+                raise BracketingError(f"calibration stalled on [{lo[k]:.17g}, {hi[k]:.17g}] "
+                                      f"with residual {rbest[k]:.3g}")
+            out[idx[done]], out[idx[stalled]] = t[done], best[stalled]
+            keep = ~(done | stalled)
+            idx, probs, logit_p, t, lo, hi, glo, ghi, best, rbest, last_lo, bisect = (
+                v[keep] for v in (idx, probs, logit_p, t, lo, hi, glo, ghi,
+                                  best, rbest, last_lo, bisect))
+        with np.errstate(all="ignore"):
+            ulo, uhi = np.log(lo), np.log(hi)
+            sec = np.exp(ulo - glo * (uhi - ulo) / (ghi - glo))
+        secant = ~bisect & (lo < sec) & (sec < hi)
+        t = np.where(secant, sec, 0.5 * (lo + hi))
+        t = np.where(np.isnan(hi), 4.0 * lo, np.where(np.isnan(lo), 0.25 * hi, t))
+    return out
 
 
-def calibrate_threshold(dims: ProblemDims, p_false_alarm: float) -> float:
+def calibrate_threshold(dims: ProblemDims, p_false_alarm):
     """Threshold mu with Pr(statistic > mu | no signal) = p_false_alarm.
 
     Reported in the test-statistic scale; divide out kappa = p/n to land in
-    the F-matrix scale.
+    the F-matrix scale.  Accepts a scalar or an array of targets; an array
+    is calibrated in one solve, each element exactly as it would be alone.
     """
-    if not 0.0 < p_false_alarm < 1.0:
-        raise ValueError(f"p_false_alarm must be in (0,1), got {p_false_alarm}")
-    return _invert_null_cdf(dims, 1.0 - p_false_alarm) / dims.kappa
+    pf = np.asarray(p_false_alarm, dtype=float)
+    bad = ~((0.0 < pf) & (pf < 1.0))
+    if bad.any():
+        raise ValueError(f"p_false_alarm must be in (0,1), got {pf[bad].flat[0]}")
+    mu = _invert_null_cdf(dims, 1.0 - pf).reshape(pf.shape) / dims.kappa
+    return float(mu) if np.ndim(p_false_alarm) == 0 else mu
 
 
-def detection_probability(dims: ProblemDims, gamma: float, threshold: float) -> float:
-    """Pr(statistic > threshold) under a spike of strength gamma."""
-    if not threshold > 0:
+def detection_probability(dims: ProblemDims, gamma: float, threshold):
+    """Pr(statistic > threshold) under a spike of strength gamma.
+
+    Accepts a scalar or an array of thresholds.
+    """
+    if not np.all(np.asarray(threshold) > 0):
         raise ValueError(f"threshold must be positive, got {threshold}")
     return 1.0 - cdf_test_statistic(dims, SpikeParam(gamma), threshold)
 
@@ -167,17 +183,18 @@ def roc_closed_form_alpha0(m: int, p: int, gamma: float, p_false_alarm: float) -
 
 
 def roc_curve(dims: ProblemDims, gamma: float, p_false_alarm_grid) -> RocCurve:
-    """Calibrate and detect across a strictly increasing grid of P_F values."""
+    """Calibrate and detect across a strictly increasing grid of P_F values.
+
+    The whole grid is calibrated in one solve and detected in one CDF call.
+    """
     grid = [float(v) for v in p_false_alarm_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("p_false_alarm grid must be strictly increasing")
     if grid and not (0.0 < grid[0] and grid[-1] < 1.0):
         raise ValueError("p_false_alarm grid must lie inside (0,1)")
-    points = []
-    for pf in grid:
-        mu = calibrate_threshold(dims, pf)
-        points.append(RocPoint(pf, detection_probability(dims, gamma, mu), mu))
-    return RocCurve(dims, gamma, tuple(points))
+    mu = calibrate_threshold(dims, np.array(grid))
+    pd = detection_probability(dims, gamma, mu)
+    return RocCurve(dims, gamma, tuple(map(RocPoint, grid, pd.tolist(), mu.tolist())))
 
 
 def pstar_bounds(nu: float, gamma: float, p_false_alarm: float):
@@ -306,12 +323,10 @@ def low_snr_slope(dims: ProblemDims, p_false_alarm: float) -> float:
     if alpha == 0:
         return low_snr_slope_balanced(m, p, p_false_alarm)
     z = 1.0 - p_false_alarm
-    T = _invert_null_cdf(dims, z)
+    T = float(_invert_null_cdf(dims, z)[0])
     w = T / (1.0 + T)
     minor = psi_minor_determinant(dims, T, drop_row=2)
-    log_k = sum(math.lgamma(p + m + j) - math.lgamma(p + m + 2 * j + 1)
-                for j in range(alpha))
-    log_t3 = (log_k + math.lgamma(p + n + 1) - math.lgamma(p + m + 2)
+    log_t3 = (_log_k_const(dims) + math.lgamma(p + n + 1) - math.lgamma(p + m + 2)
               + (m * (n + p - m) + 1) * math.log(w) + minor.log_magnitude)
     term3 = minor.sign * math.exp(log_t3)
     return p * (z - (p + n) / (p + m) * w * z + term3)

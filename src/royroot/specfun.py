@@ -100,24 +100,27 @@ def binomial(x: float, k: int) -> float:
     return pochhammer(x - k + 1, k) / math.factorial(k)
 
 
-def jacobi_p_log(deg: int, a: float, b: float, x) -> tuple:
+def jacobi_p_log(deg, a: float, b: float, x) -> tuple:
     """Jacobi polynomial P_deg^{(a,b)} in (log-magnitude, sign) form.
 
     Evaluated by the three-term recurrence in the degree with running
     rescaling, so values far beyond double range are representable.
-    Accepts scalar or ndarray x and returns a pair of arrays of the same
-    shape.  Degrees below zero evaluate to the zero function (the
-    convention needed where repeated derivatives annihilate a polynomial).
+    Accepts scalar or ndarray x.  ``deg`` is an integer or an integer
+    array; one recurrence up to its largest entry yields every degree, and
+    both returned arrays have shape ``deg.shape + x.shape``.  Degrees below
+    zero evaluate to the zero function (the convention needed where
+    repeated derivatives annihilate a polynomial).
     """
     xs = np.asarray(x, dtype=float)
-    if deg < 0:
-        return np.full(xs.shape, -np.inf), np.zeros(xs.shape)
-    if deg == 0:
-        return np.zeros(xs.shape), np.ones(xs.shape)
-    logscale = np.zeros(xs.shape)
-    pprev = np.ones_like(xs)
-    pcurr = (a + 1) + (a + b + 2) * (xs - 1) / 2
-    for nn in range(2, deg + 1):
+    degs = np.asarray(deg)
+    top = int(degs.max(initial=-1))
+    level = np.ones((max(top, 0) + 1,) + xs.shape)    # P_k e^{-scale_k}, k <= top
+    scale = np.zeros(level.shape)
+    logscale = 0.0
+    pprev = pcurr = level[0]
+    if top >= 1:
+        pcurr = level[1] = (a + 1) + (a + b + 2) * (xs - 1) / 2
+    for nn in range(2, top + 1):
         c1 = 2 * nn * (nn + a + b) * (2 * nn + a + b - 2)
         c2 = 2 * nn + a + b - 1
         c3 = (2 * nn + a + b) * (2 * nn + a + b - 2)
@@ -130,8 +133,15 @@ def jacobi_p_log(deg: int, a: float, b: float, x) -> tuple:
             pcurr = np.where(big, pcurr / _BIG, pcurr)
             pprev = np.where(big, pprev / _BIG, pprev)
             logscale = np.where(big, logscale + _LOG_BIG, logscale)
+        level[nn], scale[nn] = pcurr, logscale
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(pcurr)) + logscale, np.sign(pcurr)
+        logmag = np.log(np.abs(level)) + scale
+    take = np.maximum(degs, 0)
+    logmag, sign = logmag[take], np.sign(level[take])
+    if degs.min(initial=0) < 0:
+        zero = (degs < 0).reshape(degs.shape + (1,) * xs.ndim)
+        logmag, sign = np.where(zero, -np.inf, logmag), np.where(zero, 0.0, sign)
+    return logmag, sign
 
 
 def jacobi_p(deg: int, a: float, b: float, x):

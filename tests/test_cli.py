@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,21 @@ class TestAsymptoticCommand:
         for r in rows:
             assert abs(float(r[1]) - float(r[2])) < 0.05
 
+    def test_fixed_alpha_roc_keeps_grid_order(self, capsys):
+        from royroot.roc import detection_probability
+        code, out, _ = run_cli(capsys, "asymptotic", "--fixed-alpha", "--m", "6",
+                               "--n", "8", "--p", "9", "--snr", "3", "--mode", "roc",
+                               "--grid", "0.9:0.05:12:linear")
+        assert code == 0
+        _, rows = parse_csv(out)
+        d = ProblemDims(6, 8, 9)
+        pfs = [float(r[0]) for r in rows]
+        assert pfs == sorted(pfs, reverse=True) and len(pfs) == 12
+        for r in rows:
+            pf = float(r[0])
+            assert float(r[1]) == detection_probability(d, 3.0, calibrate_threshold(d, pf))
+            assert float(r[2]) == pf
+
     def test_requires_regime_flag(self, capsys):
         code, _, err = run_cli(capsys, "asymptotic", "--grid", "1:2:2:linear")
         assert code == 2
@@ -237,3 +253,39 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "threshold" in out.stdout
+
+
+# Outputs that must stay byte-identical: the numbers come from the exact CDFs,
+# the p* closed forms and the Monte Carlo sampler, none of which calibrates a
+# threshold.  Each file under tests/data/ is the stdout of `royroot <argv>`.
+GOLDEN = {
+    "cdf_245_lambda": ["cdf", "--m", "2", "--n", "4", "--p", "5", "--snr", "1.0",
+                       "--grid", "0.1:20:25:linear"],
+    "cdf_245_statistic": ["cdf", "--m", "2", "--n", "4", "--p", "5", "--snr", "1.0",
+                          "--grid", "0.1:20:25:log", "--statistic"],
+    "cdf_5810_lambda": ["cdf", "--m", "5", "--n", "8", "--p", "10", "--snr", "5dB",
+                        "--grid", "0.5:40:25:log"],
+    "cdf_5810_statistic": ["cdf", "--m", "5", "--n", "8", "--p", "10", "--snr", "5dB",
+                           "--grid", "0.5:40:25:linear", "--statistic"],
+    "cdf_41012_lambda": ["cdf", "--m", "4", "--n", "10", "--p", "12", "--snr", "0",
+                         "--grid", "0.7:60:25:log"],
+    "cdf_41012_statistic_json": ["--format", "json", "cdf", "--m", "4", "--n", "10",
+                                 "--p", "12", "--snr", "3.0", "--grid", "0.7:60:10:log",
+                                 "--statistic"],
+    "asymptotic_fixed_alpha_cdf": ["asymptotic", "--fixed-alpha", "--m", "20", "--n", "21",
+                                   "--p", "22", "--snr", "3.16",
+                                   "--grid", "0.1:20:25:linear"],
+    "asymptotic_scaled_snr_cdf": ["asymptotic", "--scaled-snr", "--m", "6", "--c", "0.5",
+                                  "--theta", "1", "--grid", "0.5:20:15:log"],
+    "pstar": ["pstar", "--nu", "0.5", "--snr", "10", "--pf", "0.1"],
+    "mc_validate": ["mc-validate", "--m", "2", "--n", "4", "--p", "4", "--snr", "1",
+                    "--trials", "4096", "--seed", "7", "--tolerance", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_is_byte_identical_to_golden_file(capsys, name):
+    code, out, _ = run_cli(capsys, *GOLDEN[name])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"cli_{name}.txt"
+    assert out.encode("ascii") == golden.read_bytes()

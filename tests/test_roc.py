@@ -45,6 +45,47 @@ class TestCalibrate:
         with pytest.raises(BracketingError, match="bracket"):
             calibrate_threshold(ProblemDims(2, 3, 3), 0.1)
 
+    def test_lower_bracketing_failure_is_reported(self, monkeypatch):
+        # the search for the lower end stops at T = 4^-80
+        import royroot.roc as roc_mod
+        monkeypatch.setattr(roc_mod, "cdf_null", lambda dims, t: np.full(np.shape(t), 0.95))
+        with pytest.raises(BracketingError, match=r"no lower bracket: cdf\(6.84e-49\)"):
+            calibrate_threshold(ProblemDims(2, 3, 3), 0.1)
+
+    def test_array_of_targets(self):
+        d = ProblemDims(2, 4, 5)
+        pfs = np.array([[0.01, 0.2], [0.5, 0.9]])
+        mus = calibrate_threshold(d, pfs)
+        assert mus.shape == (2, 2)
+        assert [calibrate_threshold(d, pf) for pf in pfs.ravel()] == mus.ravel().tolist()
+        with pytest.raises(ValueError, match="got 1.0"):
+            calibrate_threshold(d, [0.1, 1.0])
+        assert calibrate_threshold(d, []).shape == (0,)
+        assert roc_curve(d, 1.0, []).points == ()
+
+    @pytest.mark.parametrize("dims", [(4, 10, 12), (16, 20, 32)])
+    def test_null_cdf_call_counts(self, dims, monkeypatch):
+        # the solver used 37 and 41 calls on these at worst before false
+        # position on log T against logit F; each count here is deterministic
+        import royroot.roc as roc_mod
+        calls = []
+        cdf = roc_mod.cdf_null
+        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        worst = {(4, 10, 12): 37, (16, 20, 32): 41}[dims]
+        for pf in (1e-3, 1e-2, 0.1, 0.5):
+            calls.clear()
+            calibrate_threshold(ProblemDims(*dims), pf)
+            assert len(calls) < worst, pf
+
+    @pytest.mark.parametrize("dims", [(2, 12, 4), (2, 14, 4)])
+    def test_noisy_null_cdf_still_calibrates(self, dims):
+        # at alpha >= 10 the computed null CDF carries noise of 1e-10 to 1e-8,
+        # so 1e-12 is out of reach; the bracket's end-game must still find a
+        # point within the 1e-9 stall acceptance
+        d = ProblemDims(*dims)
+        mu = calibrate_threshold(d, 0.1)
+        assert abs(cdf_test_statistic(d, SpikeParam(0.0), mu) - 0.9) <= 1e-9
+
 
 class TestDetectionProbability:
     def test_zero_snr_gives_false_alarm_rate(self):
@@ -107,6 +148,25 @@ class TestRocCurve:
         thr = [pt.threshold for pt in curve.points]
         assert all(b >= a for a, b in zip(pd_vals, pd_vals[1:]))
         assert all(b < a for a, b in zip(thr, thr[1:]))  # threshold falls as P_F rises
+
+    @pytest.mark.parametrize("dims", [(2, 4, 5), (5, 8, 10), (4, 10, 12)])
+    def test_thresholds_equal_scalar_calibration(self, dims):
+        # the grid is solved in one batch, each element as it would be alone
+        d = ProblemDims(*dims)
+        grid = np.geomspace(1e-3, 0.8, 50)
+        curve = roc_curve(d, 2.0, grid)
+        assert [pt.threshold for pt in curve.points] == \
+            [calibrate_threshold(d, pf) for pf in grid]
+        for pt in curve.points[::7]:
+            assert pt.p_detection == detection_probability(d, 2.0, pt.threshold)
+
+    def test_one_batched_solve(self, monkeypatch):
+        import royroot.roc as roc_mod
+        calls = []
+        cdf = roc_mod.cdf_null
+        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        roc_curve(ProblemDims(5, 8, 10), 3.0, np.geomspace(1e-3, 0.8, 50))
+        assert len(calls) <= 40   # 962 calls with one scalar solve per point
 
     def test_grid_validation(self):
         d = ProblemDims(2, 4, 6)

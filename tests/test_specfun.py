@@ -115,6 +115,69 @@ class TestJacobi:
         assert logmag[0] > 700.0
 
 
+def jacobi_log_one_degree(deg, a, b, x):
+    """Reference: the recurrence for a single degree, rescaling at every step
+    where a value passes 1e250, exactly as jacobi_p_log evaluated before it
+    took arrays of degrees."""
+    xs = np.asarray(x, dtype=float)
+    if deg < 0:
+        return np.full(xs.shape, -np.inf), np.zeros(xs.shape)
+    if deg == 0:
+        return np.zeros(xs.shape), np.ones(xs.shape)
+    logscale = np.zeros(xs.shape)
+    pprev = np.ones_like(xs)
+    pcurr = (a + 1) + (a + b + 2) * (xs - 1) / 2
+    for nn in range(2, deg + 1):
+        c1 = 2 * nn * (nn + a + b) * (2 * nn + a + b - 2)
+        c2 = 2 * nn + a + b - 1
+        c3 = (2 * nn + a + b) * (2 * nn + a + b - 2)
+        c4 = a * a - b * b
+        c5 = 2 * (nn + a - 1) * (nn + b - 1) * (2 * nn + a + b)
+        pnext = (c2 * (c3 * xs + c4) * pcurr - c5 * pprev) / c1
+        pprev, pcurr = pcurr, pnext
+        big = np.abs(pcurr) > 1e250
+        pcurr = np.where(big, pcurr / 1e250, pcurr)
+        pprev = np.where(big, pprev / 1e250, pprev)
+        logscale = np.where(big, logscale + math.log(1e250), logscale)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(pcurr)) + logscale, np.sign(pcurr)
+
+
+class TestJacobiDegreeArray:
+    """One recurrence over an array of degrees gives, bit for bit, what one
+    recurrence per degree gives."""
+
+    XS = np.array([1.0, 1.0001, 1.7, 3.0, 41.0, 1e5])
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (0, 3), (3, 5), (10, 10), (2.5, 0.5)])
+    def test_every_degree_bit_for_bit(self, a, b):
+        top = 80   # passes 1e250 at x = 1e5, so the rescaling runs
+        logmag, sign = jacobi_p_log(np.arange(top + 1), a, b, self.XS)
+        assert logmag.shape == sign.shape == (top + 1, self.XS.size)
+        assert np.isfinite(logmag[top, -1]) and logmag[top, -1] > 700.0
+        for k in range(top + 1):
+            ref = jacobi_log_one_degree(k, a, b, self.XS)
+            one = jacobi_p_log(k, a, b, self.XS)
+            for got in ((logmag[k], sign[k]), one):
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), k
+
+    def test_negative_and_unsorted_degrees(self):
+        degs = np.array([[3, -2], [0, 5], [-1, 3]])
+        logmag, sign = jacobi_p_log(degs, 1.0, 4.0, self.XS[:4])
+        assert logmag.shape == (3, 2, 4)
+        for idx in np.ndindex(degs.shape):
+            ref = jacobi_log_one_degree(int(degs[idx]), 1.0, 4.0, self.XS[:4])
+            assert np.array_equal(logmag[idx], ref[0]) and np.array_equal(sign[idx], ref[1])
+        assert np.all(logmag[0, 1] == -np.inf) and np.all(sign[0, 1] == 0.0)
+
+    def test_all_negative_and_scalar_x(self):
+        logmag, sign = jacobi_p_log(np.array([-3, -1]), 0.0, 0.0, 2.0)
+        assert logmag.shape == (2,) and np.all(logmag == -np.inf) and np.all(sign == 0.0)
+        logmag, sign = jacobi_p_log(4, 1.0, 2.0, 2.0)
+        ref = jacobi_log_one_degree(4, 1.0, 2.0, 2.0)
+        assert np.shape(logmag) == () and logmag == ref[0] and sign == ref[1]
+
+
 class TestGauss2F1:
     def test_single_term(self):
         assert gauss_2f1_terminating(2.3, 0, 1.7, 0.9) == 1.0
