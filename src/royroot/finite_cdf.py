@@ -126,32 +126,43 @@ def _log_psi_block(dims: ProblemDims, rows, ts: np.ndarray):
             np.ascontiguousarray(sign.transpose(axes)))
 
 
-def _log_phi(dims: ProblemDims, eta: float, i: int, ts: np.ndarray):
-    """(log|.|, sign) of Phi_i(t, eta) via its terminating series.
+def _log_phi_column(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
+    """log Phi_i(t, eta) for every row i = 1..alpha+1, via the terminating series
 
     Phi_i = Q_i sum_k (p+i-1)_k (alpha-i+1)! / (k! (p+m+2i-2)_k (alpha-i+1-k)!)
                   * (eta t)^{k+i-1} ((1+eta)(1+t))^p / (1+eta+t)^{p+k+i-1}
 
-    with Q_i = (n+p+i-2)! (p+i-2)! / (p+m+2i-3)!.  For eta, t > 0 every term
-    is positive, so a max-shifted exponential sum is exact to rounding.
+    with Q_i = (n+p+i-2)! (p+i-2)! / (p+m+2i-3)!.  The terms of all rows are
+    formed in one (term, t...) array, row by row (k = 0..alpha-i+1 for row
+    i), and each row's slice gets a max-shifted exponential sum.  For eta,
+    t > 0 every term is positive, so that sum is exact to rounding.  Shape
+    is ts.shape + (alpha+1,).
     """
     m, n, p, alpha = dims.m, dims.n, dims.p, dims.alpha
-    logq = (math.lgamma(n + p + i - 1) + math.lgamma(p + i - 1)
-            - math.lgamma(p + m + 2 * i - 2))
+    rows = range(1, alpha + 2)
+    sizes = [alpha - i + 2 for i in rows]
+    starts = np.cumsum([0] + sizes[:-1])
+    pairs = [(i, k) for i in rows for k in range(alpha - i + 2)]
+    logq = np.array([math.lgamma(n + p + i - 1) + math.lgamma(p + i - 1)
+                     - math.lgamma(p + m + 2 * i - 2) for i in rows])
+    logc = np.array([log_pochhammer(p + i - 1, k) + math.lgamma(alpha - i + 2)
+                     - math.lgamma(k + 1) - log_pochhammer(p + m + 2 * i - 2, k)
+                     - math.lgamma(alpha - i + 2 - k) for i, k in pairs])
+    expand = (1,) * ts.ndim
+    i, k = (np.array(v).reshape((-1,) + expand) for v in zip(*pairs))
     log_eta_t = math.log(eta) + np.log(ts)
     log_grow = math.log1p(eta) + np.log1p(ts)
     log_den = np.log1p(eta + ts)
-    terms = []
-    for k in range(alpha - i + 2):
-        logc = (log_pochhammer(p + i - 1, k) + math.lgamma(alpha - i + 2)
-                - math.lgamma(k + 1) - log_pochhammer(p + m + 2 * i - 2, k)
-                - math.lgamma(alpha - i + 2 - k))
-        terms.append(logc + (k + i - 1) * log_eta_t + p * log_grow
-                     - (p + k + i - 1) * log_den)
-    stack = np.stack(terms)
-    peak = stack.max(axis=0)
-    logmag = logq + peak + np.log(np.exp(stack - peak).sum(axis=0))
-    return logmag, np.ones_like(ts)
+    stack = (logc.reshape((-1,) + expand) + (k + i - 1) * log_eta_t + p * log_grow
+             - (p + k + i - 1) * log_den)
+    peak = np.maximum.reduceat(stack, starts, axis=0)
+    scaled = np.exp(stack - np.repeat(peak, sizes, axis=0))
+    # numpy picks the summation order from the operand's shape (pairwise along
+    # a lone t's terms), so each row's slice is summed on its own: every value
+    # is then that row's series summed alone, whatever the number of ts
+    sums = np.stack([scaled[s:s + size].sum(axis=0) for s, size in zip(starts, sizes)])
+    logmag = logq.reshape((-1,) + expand) + peak + np.log(sums)
+    return np.moveaxis(logmag, 0, -1)
 
 
 def _log_k_const(dims: ProblemDims) -> float:
@@ -198,8 +209,7 @@ def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
     k = dims.alpha + 1
     logmag = np.empty(ts.shape + (k, k))
     sign = np.empty(ts.shape + (k, k))
-    for i in range(1, k + 1):
-        logmag[..., i - 1, 0], sign[..., i - 1, 0] = _log_phi(dims, eta, i, ts)
+    logmag[..., 0], sign[..., 0] = _log_phi_column(dims, eta, ts), 1.0
     logmag[..., 1:], sign[..., 1:] = _log_psi_block(dims, range(1, k + 1), ts)
     dsign, dlog = _det_stack(logmag, sign)
     logpref = (_log_k_const(dims) - math.lgamma(dims.p) - dims.p * math.log1p(eta)
@@ -248,8 +258,8 @@ def phi_entry(dims: ProblemDims, spike: SpikeParam, i: int, t: float) -> LogScal
         raise ValueError(f"i={i} out of range [1, {dims.alpha + 1}]")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    logmag, _ = _log_phi(dims, spike.eta, i, np.asarray([float(t)]))
-    return LogScaled(float(logmag[0]), 1)
+    logmag = _log_phi_column(dims, spike.eta, np.asarray([float(t)]))
+    return LogScaled(float(logmag[0, i - 1]), 1)
 
 
 def psi_minor_determinant(dims: ProblemDims, t: float, drop_row: int = 1) -> LogScaled:

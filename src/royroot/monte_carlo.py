@@ -4,14 +4,21 @@ quadrature of the m = 2 joint eigenvalue density.
 
 Sampling determinism
 --------------------
-Trials are generated in fixed-size chunks of ``CHUNK_TRIALS``.  Chunk c is
-driven by a fresh counter-based Philox stream keyed by (seed, c), and every
-trial consumes a fixed number of uniforms, so each trial's draws are a pure
-function of (seed, trial index).  Results are therefore bit-identical for a
-given (seed, trials) no matter how many workers run the chunks.
+Trials are generated in fixed-size chunks of ``CHUNK_TRIALS``.  A trial
+draws the lower-triangular Bartlett factors of its two Wishart matrices
+(Edelman & Rao, "Random matrix theory", Acta Numerica 2005): m(m-1)/2
+complex Gaussians and m Gamma variates per factor, so O(m^2) draws in place
+of m(n+p).  Chunk c drives them from two counter-based Philox streams keyed
+by (seed, c): the Gaussians from the key's own stream and the Gammas from
+its jumped copy.  Both samplers use a variable number of raw draws, so each
+stream is consumed trial by trial, and keeping the two apart means neither
+stream's position depends on the other's.  A trial's draws therefore depend
+only on the seed, its chunk and its place in the chunk, i.e. on (seed,
+trial index): results are bit-identical for a given (seed, trials) no matter
+how many workers run the chunks, and the first trials do not change when
+more are requested.
 
-Complex Gaussians use the polar Box-Muller map z = sqrt(-ln(1-u1)) *
-exp(2*pi*i*u2), giving E|z|^2 = 1 (real and imaginary parts each N(0, 1/2)),
+Complex Gaussians have real and imaginary parts N(0, 1/2), so E|z|^2 = 1,
 the convention under which the closed-form CDFs hold.
 """
 
@@ -84,23 +91,39 @@ class EmpiricalCdf:
         return EmpiricalCdf(self.samples * factor)
 
 
+def _largest_root(T1: np.ndarray, T2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of (T1 T1^H)(T2 T2^H)^{-1} for stacks of square factors.
+
+    With Y = T2^{-1} T1 that matrix is similar to Y Y^H, so one batched solve
+    whitens the pair and a Hermitian eigensolve finishes it.
+    """
+    Y = np.linalg.solve(T2, T1)
+    return np.linalg.eigvalsh(Y @ Y.conj().transpose(0, 2, 1))[:, -1]
+
+
 def _chunk_lambda_max(dims: ProblemDims, eta: float, seed: int, chunk: int, count: int):
-    """Largest generalized eigenvalues for `count` trials of chunk `chunk`."""
+    """Largest generalized eigenvalues for `count` trials of chunk `chunk`.
+
+    W1 = (D T1)(D T1)^H and W2 = T2 T2^H, with T1, T2 the lower-triangular
+    Bartlett factors of CW_m(p, I) and CW_m(n, I) and D = diag(sqrt(1+eta),
+    1, ..., 1) the spiked scale's root (spike along e1; any unit vector gives
+    the same law).  D T1 differs from T1 only in its (0, 0) entry.
+    """
     m, n, p = dims.m, dims.n, dims.p
-    draws = m * (p + n)
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    u = gen.random(count * 2 * draws).reshape(count, 2 * draws)
-    z = np.sqrt(-np.log1p(-u[:, :draws])) * np.exp(2j * np.pi * u[:, draws:])
-    X = z[:, :m * p].reshape(count, m, p)
-    N = z[:, m * p:].reshape(count, m, n)
-    # spike along the first coordinate; any unit vector gives the same law
-    X[:, 0, :] *= math.sqrt(1.0 + eta)
-    W1 = X @ X.conj().transpose(0, 2, 1)
-    W2 = N @ N.conj().transpose(0, 2, 1)
-    L = np.linalg.cholesky(W2)
-    Y = np.linalg.solve(L, W1)
-    C = np.linalg.solve(L, Y.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-    return np.linalg.eigvalsh(C)[:, -1]
+    bits = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
+    gammas = np.random.Generator(bits.jumped())
+    normals = np.random.Generator(bits)
+    below = np.tril_indices(m, -1)
+    diag = np.arange(m)
+    T = np.zeros((count, 2, m, m), dtype=complex)
+    # strictly-lower entries CN(0, 1): real and imaginary parts N(0, 1/2)
+    z = normals.standard_normal((count, 2, below[0].size, 2)) * math.sqrt(0.5)
+    T[:, :, below[0], below[1]] = z.view(complex)[..., 0]
+    # |T_ii|^2 ~ Gamma(k - i + 1), i = 1..m, with k = p for T1 and k = n for T2
+    shapes = np.array([[p], [n]]) - diag
+    T[:, :, diag, diag] = np.sqrt(gammas.standard_gamma(shapes, size=(count, 2, m)))
+    T[:, 0, 0, 0] *= math.sqrt(1.0 + eta)
+    return _largest_root(T[:, 0], T[:, 1])
 
 
 def sample_lambda_max(config: McConfig) -> EmpiricalCdf:

@@ -5,12 +5,32 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam,
+from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _log_phi_column,
                                 cdf_lambda_max, cdf_lambda_max_general, cdf_null,
                                 cdf_test_statistic, phi_entry, psi_entry,
                                 psi_minor_determinant)
 from royroot.monte_carlo import joint_density_cdf_m2
-from royroot.specfun import binomial, jacobi_p
+from royroot.specfun import binomial, jacobi_p, log_pochhammer
+
+
+def _log_phi_row(dims, eta, i, ts):
+    """Reference: log Phi_i built term by term for one row, as a plain loop."""
+    m, n, p, alpha = dims.m, dims.n, dims.p, dims.alpha
+    logq = (math.lgamma(n + p + i - 1) + math.lgamma(p + i - 1)
+            - math.lgamma(p + m + 2 * i - 2))
+    log_eta_t = math.log(eta) + np.log(ts)
+    log_grow = math.log1p(eta) + np.log1p(ts)
+    log_den = np.log1p(eta + ts)
+    terms = []
+    for k in range(alpha - i + 2):
+        logc = (log_pochhammer(p + i - 1, k) + math.lgamma(alpha - i + 2)
+                - math.lgamma(k + 1) - log_pochhammer(p + m + 2 * i - 2, k)
+                - math.lgamma(alpha - i + 2 - k))
+        terms.append(logc + (k + i - 1) * log_eta_t + p * log_grow
+                     - (p + k + i - 1) * log_den)
+    stack = np.stack(terms)
+    peak = stack.max(axis=0)
+    return logq + peak + np.log(np.exp(stack - peak).sum(axis=0))
 
 
 class TestProblemDims:
@@ -108,6 +128,18 @@ class TestPhiEntry:
             expected = math.exp(logq + scale) * z ** (1 - m) * integral
             got = phi_entry(d, SpikeParam(eta), i, t)
             assert got.value() == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("case", [(2, 4, 5), (4, 10, 12), (2, 10, 4), (1, 17, 3), (2, 18, 4)])
+    def test_column_equals_row_by_row_series(self, case):
+        # same terms in the same order, so equal to the last bit, on grids and
+        # on single points (where numpy sums 8 or more terms pairwise)
+        d = ProblemDims(*case)
+        grid = np.geomspace(0.05, 50.0, 40)
+        for ts in (grid, grid[:2], np.array([0.1]), np.array([7.0])):
+            for eta in (0.3, 3.0):
+                col = _log_phi_column(d, eta, ts)
+                ref = np.stack([_log_phi_row(d, eta, i, ts) for i in range(1, d.alpha + 2)], -1)
+                assert np.array_equal(col, ref)
 
     def test_requires_positive_eta(self):
         d = ProblemDims(2, 4, 5)

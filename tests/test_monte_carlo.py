@@ -7,8 +7,29 @@ import pytest
 from royroot.detmat import max_generalized_eigenvalue
 from royroot.finite_cdf import (ProblemDims, SpikeParam, cdf_lambda_max, cdf_null,
                                 cdf_test_statistic)
-from royroot.monte_carlo import (EmpiricalCdf, McConfig, dump_samples,
-                                 joint_density_cdf_m2, ks_distance, sample_lambda_max)
+from royroot.monte_carlo import (CHUNK_TRIALS, EmpiricalCdf, McConfig, _chunk_lambda_max,
+                                 _largest_root, dump_samples, joint_density_cdf_m2,
+                                 ks_distance, sample_lambda_max)
+
+
+def _direct_lambda_max(dims, trials, rng, root, chunk=10_000):
+    """Reference sampler: draw X (m x p) and N (m x n) directly, X scaled by
+    ``root`` = Sigma^{1/2}, and whiten W1 = X X^H by the Cholesky factor of
+    W2 = N N^H.  Shares no code with the Bartlett-factor sampler."""
+    m, n, p = dims.m, dims.n, dims.p
+    lams = np.empty(trials)
+    for c in range(0, trials, chunk):
+        size = min(chunk, trials - c)
+        x = (rng.normal(size=(size, m, p)) + 1j * rng.normal(size=(size, m, p))) / math.sqrt(2.0)
+        x = root @ x
+        nn = (rng.normal(size=(size, m, n)) + 1j * rng.normal(size=(size, m, n))) / math.sqrt(2.0)
+        w1 = x @ x.conj().transpose(0, 2, 1)
+        w2 = nn @ nn.conj().transpose(0, 2, 1)
+        ll = np.linalg.cholesky(w2)
+        y = np.linalg.solve(ll, w1)
+        cc = np.linalg.solve(ll, y.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+        lams[c:c + size] = np.linalg.eigvalsh(cc)[:, -1]
+    return lams
 
 
 class TestConfigAndEmpirical:
@@ -112,20 +133,7 @@ class TestSampler:
         v /= np.linalg.norm(v)
         # sqrt(I + eta v v^H) = I + (sqrt(1+eta) - 1) v v^H
         root = np.eye(d.m) + (math.sqrt(1 + eta) - 1.0) * np.outer(v, v.conj())
-        lams = np.empty(100_000)
-        chunk = 10_000
-        for c in range(0, lams.size, chunk):
-            x = (rng.normal(size=(chunk, d.m, d.p))
-                 + 1j * rng.normal(size=(chunk, d.m, d.p))) / math.sqrt(2.0)
-            x = root @ x
-            nn = (rng.normal(size=(chunk, d.m, d.n))
-                  + 1j * rng.normal(size=(chunk, d.m, d.n))) / math.sqrt(2.0)
-            w1 = x @ x.conj().transpose(0, 2, 1)
-            w2 = nn @ nn.conj().transpose(0, 2, 1)
-            ll = np.linalg.cholesky(w2)
-            y = np.linalg.solve(ll, w1)
-            cc = np.linalg.solve(ll, y.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-            lams[c:c + chunk] = np.linalg.eigvalsh(cc)[:, -1]
+        lams = _direct_lambda_max(d, 100_000, rng, root)
         stat = ks_2samp(emp.samples, lams).statistic
         assert stat < 0.01
 
@@ -155,6 +163,53 @@ class TestSampler:
             ref = max_generalized_eigenvalue((w1[k] + w1[k].conj().T) / 2,
                                              (w2[k] + w2[k].conj().T) / 2)
             assert batched[k] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("case,eta,trials", [
+        ((1, 1, 3), 0.0, 40_000),
+        ((3, 3, 5), 2.0, 40_000),   # n = m: the last T2 diagonal is Gamma(1)
+        ((2, 4, 4), 1.0, 40_000),
+        ((8, 12, 16), 1.0, 16_000),
+    ])
+    def test_matches_direct_sampler(self, case, eta, trials):
+        # two-sample KS against the X/N construction, no exact CDF involved;
+        # c = 2.5 in c sqrt(2/N) puts a correct sampler's failure odds near 1e-5
+        from scipy.stats import ks_2samp
+
+        d = ProblemDims(*case)
+        emp = sample_lambda_max(McConfig(d, SpikeParam(eta), trials, 31))
+        root = np.diag([math.sqrt(1.0 + eta)] + [1.0] * (d.m - 1))
+        ref = _direct_lambda_max(d, trials, np.random.default_rng(32), root)
+        assert ks_2samp(emp.samples, ref).statistic < 2.5 * math.sqrt(2.0 / trials)
+
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_chunk_trials_do_not_depend_on_count(self, m):
+        d = ProblemDims(m, m + 4, m + 8)
+        full = _chunk_lambda_max(d, 1.0, 11, 2, CHUNK_TRIALS)
+        assert full.shape == (CHUNK_TRIALS,)
+        for count in (1, CHUNK_TRIALS - 1):
+            part = _chunk_lambda_max(d, 1.0, 11, 2, count)
+            assert np.array_equal(part, full[:count])
+
+    @pytest.mark.parametrize("trials", [CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1])
+    def test_partial_last_chunk_is_worker_independent(self, trials):
+        d = ProblemDims(2, 4, 4)
+        one = sample_lambda_max(McConfig(d, SpikeParam(1.0), trials, 9, workers=1))
+        three = sample_lambda_max(McConfig(d, SpikeParam(1.0), trials, 9, workers=3))
+        assert one.count == trials
+        assert np.array_equal(one.samples, three.samples)
+
+    def test_largest_root_matches_detmat(self):
+        # the production whitening of Bartlett factors, pair by pair
+        rng = np.random.default_rng(12)
+        for m in (1, 2, 3, 5, 8):
+            shape = (8, m, m)
+            t1, t2 = (np.tril(rng.normal(size=shape) + 1j * rng.normal(size=shape), -1)
+                      + np.eye(m) * rng.uniform(0.5, 2.0, size=(8, 1, m)) for _ in range(2))
+            got = _largest_root(t1, t2)
+            for k in range(8):
+                w1 = t1[k] @ t1[k].conj().T
+                w2 = t2[k] @ t2[k].conj().T
+                assert got[k] == pytest.approx(max_generalized_eigenvalue(w1, w2), rel=1e-10)
 
 
 class TestJointDensityQuadrature:
