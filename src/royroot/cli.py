@@ -25,12 +25,19 @@ __all__ = ["main"]
 _ENV_WORKERS = "ROYROOT_WORKERS"
 
 
-def _fmt(v) -> str:
+def _cell(v):
+    """A table cell as its JSON value: "pass"/"fail", an int or a float."""
     if isinstance(v, bool):
         return "pass" if v else "fail"
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+        return int(v)
+    return float(v)
+
+
+def _fmt(v) -> str:
+    """A table cell as CSV text; floats keep all 17 significant digits."""
+    c = _cell(v)
+    return f"{c:.17g}" if isinstance(c, float) else str(c)
 
 
 def _parse_snr(text: str) -> float:
@@ -70,9 +77,7 @@ def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
             "command": command,
             "params": params,
             "columns": list(columns),
-            "rows": [[("pass" if v else "fail") if isinstance(v, bool) else
-                      (int(v) if isinstance(v, (int, np.integer)) else float(v))
-                     for v in row] for row in rows],
+            "rows": [[_cell(v) for v in row] for row in rows],
             "extra": {k: float(v) for k, v in extra.items()},
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -1,10 +1,7 @@
-"""Small dense linear algebra: scaled determinants, complex Cholesky,
-Hermitian eigenvalues, and the generalized max-eigenvalue of a definite pair.
+"""Scaled determinants of small dense matrices, through numpy's LAPACK.
 
 Dimensions are capped at 64, the envelope within which the double-precision
-accuracy claims of this package were validated.  Eigenvalue and determinant
-kernels are backed by LAPACK through numpy; the Cholesky factorization is
-done explicitly so a failure can report the offending pivot.
+accuracy claims of this package were validated.
 """
 
 from __future__ import annotations
@@ -12,34 +9,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .specfun import LogScaled
 
 __all__ = [
     "MAX_DIM",
-    "NotPositiveDefiniteError",
-    "EigenConvergenceError",
     "det_scaled",
-    "cholesky",
-    "hermitian_eigenvalues",
-    "max_generalized_eigenvalue",
 ]
 
 MAX_DIM = 64
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky pivot failure; ``pivot`` is the 0-based failing index."""
-
-    def __init__(self, pivot: int, value: float):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(f"matrix is not positive definite: pivot {pivot} = {value:.6g}")
-
-
-class EigenConvergenceError(RuntimeError):
-    """Eigenvalue iteration failed to converge (ill-formed input)."""
 
 
 def _as_square(M, name: str) -> np.ndarray:
@@ -50,15 +28,6 @@ def _as_square(M, name: str) -> np.ndarray:
         raise ValueError(f"{name} dimension {A.shape[0]} exceeds the cap {MAX_DIM}")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} must have finite entries")
-    return A
-
-
-def _as_hermitian(M, name: str) -> np.ndarray:
-    A = _as_square(M, name).astype(complex)
-    # tolerance scaled by magnitude so congruence-assembled inputs pass
-    tol = 1e-12 * max(1.0, float(np.abs(A).max(initial=0.0)))
-    if np.abs(A - A.conj().T).max(initial=0.0) > tol:
-        raise ValueError(f"{name} is not Hermitian within {tol:.3g}")
     return A
 
 
@@ -79,43 +48,3 @@ def det_scaled(M) -> LogScaled:
     if sign == 0.0:
         return LogScaled(-math.inf, 0)
     return LogScaled(float(logabs + np.log(rowmax).sum()), int(sign))
-
-
-def cholesky(H) -> np.ndarray:
-    """Lower-triangular L with L L^H = H for Hermitian positive definite H."""
-    A = _as_hermitian(H, "matrix")
-    k = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(k):
-        d = A[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
-        if d <= 0.0 or not np.isfinite(d):
-            raise NotPositiveDefiniteError(j, float(d))
-        L[j, j] = math.sqrt(d)
-        if j + 1 < k:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j].conj()) / L[j, j]
-    return L
-
-
-def hermitian_eigenvalues(H) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
-    A = _as_hermitian(H, "matrix")
-    try:
-        return np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenConvergenceError(str(exc)) from exc
-
-
-def max_generalized_eigenvalue(A, B) -> float:
-    """Largest eigenvalue of B^{-1} A for Hermitian A and positive definite B.
-
-    Computed by whitening: with B = L L^H the value is the largest
-    eigenvalue of L^{-1} A L^{-H}, which is Hermitian.
-    """
-    A = _as_hermitian(A, "A")
-    L = cholesky(B)
-    if A.shape != L.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {L.shape}")
-    Y = solve_triangular(L, A, lower=True)
-    C = solve_triangular(L, Y.conj().T, lower=True).conj().T
-    C = (C + C.conj().T) / 2
-    return float(np.linalg.eigvalsh(C)[-1])

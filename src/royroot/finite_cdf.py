@@ -10,16 +10,20 @@ Pochhammer-weighted Jacobi polynomials Psi_{i,j}(t) evaluated at 2/t + 1:
                 * det[ Phi_i(t,eta) | Psi_{i,j}(t) ]
 
 Special cases dispatch to closed forms: eta = 0 drops the Phi column and
-leaves an alpha x alpha determinant; n = m collapses everything to
-(t/(1+t))^{mp} / (1 + eta/(1+t))^p.  All prefactors and entries are composed
-in log space, and each determinant column is rescaled by its largest
-magnitude before the pivoted LU so the pivots stay O(1).
+leaves an alpha x alpha determinant, evaluated as the exact polynomial in
+1/t that it is (see the eta = 0 section below); n = m collapses everything
+to (t/(1+t))^{mp} / (1 + eta/(1+t))^p.  On the spiked path all prefactors
+and entries are composed in log space, and each determinant column is
+rescaled by its largest magnitude before the pivoted LU so the pivots stay
+O(1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -217,15 +221,240 @@ def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
     return dsign * np.exp(logpref + dlog)
 
 
+# ---------------------------------------------------------------------------
+# eta = 0: the determinant as an exact polynomial in u = 1/t
+# ---------------------------------------------------------------------------
+#
+# With x = 2/t + 1 = 1 + 2u, every Psi entry is an integer polynomial in u
+# (the Jacobi sum below), so the Psi block (columns 2..alpha+1) with row r
+# removed has an integer polynomial determinant e_r(u) of degree
+# m*alpha + 1 - r.  Row 1 removed gives the eta = 0 determinant d = e_1:
+#
+#     F0(t) = (1+u)^{-N} sum_k c_k u^k,  c_k = d_k / d_0,  N = m(n+p-m),
+#
+# and d_0 = (m+p-1)! / ((n+p-1)! K(m,p,alpha)) makes c_0 = 1, so that F0 -> 1
+# as t -> oo.  Every c_k found so far is >= 0 (and so is every coefficient
+# of e_2, the minor of the low-SNR slope): F0 is a sum of positive terms
+# with no cancellation, whatever alpha is.  The coefficients are built once
+# per dims from determinants modulo word-sized primes at the integer points
+# u = 0..degree, interpolated per prime and joined by the Chinese remainder
+# theorem.  The cache keeps each e_k / d_0 as a float mantissa and an integer
+# power-of-two exponent, since they reach 1e375 inside the envelope.
+
+_PRIME_BITS = 31          # products of two residues fit in int64
+_BUILD_BLOCK = 1 << 19    # int64 entries per block of the modular precompute
+_EVAL_BLOCK = 1 << 16     # (t, k) terms per block of the evaluation
+_CACHED_DIMS = 32
+
+
+def _psi_coefficients(dims: ProblemDims, drop_row: int) -> list:
+    """Integer coefficients in u of the Psi entries, rows 1..alpha+1 except
+    drop_row, columns 2..alpha+1.
+
+    P_d^{(a,b)}(1+2u) = sum_s C(d+a, d-s) C(d+a+b+s, s) u^s, times the
+    Pochhammer factor (m+i+beta-1)_{j-2}; a negative degree is the zero entry.
+    """
+    m, beta, alpha = dims.m, dims.beta, dims.alpha
+    block = []
+    for i in range(1, alpha + 2):
+        if i == drop_row:
+            continue
+        row = []
+        for j in range(2, alpha + 2):
+            d, a, b = m + i - j, j - 2, beta + j - 2
+            poch = math.prod(range(m + i + beta - 1, m + i + beta + j - 3))
+            row.append([poch * math.comb(d + a, d - s) * math.comb(d + a + b + s, s)
+                        for s in range(d + 1)])
+        block.append(row)
+    return block
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for every q < 3.2e9."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_beyond(bound: int) -> list:
+    """The largest primes below 2^31, as many as make their product exceed bound."""
+    primes, product, q = [], 1, (1 << _PRIME_BITS) - 1
+    while product <= bound:
+        if _is_prime(q):
+            primes.append(q)
+            product *= q
+        q -= 2
+    return primes
+
+
+def _inv_mod(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x^(q-2) mod q elementwise: the inverse of x modulo the prime q (0 for x = 0)."""
+    e = np.broadcast_to(q - 2, x.shape).copy()
+    inv, base = np.ones_like(x), x % q
+    for _ in range(_PRIME_BITS):
+        inv = np.where(e & 1, inv * base % q, inv)
+        base = base * base % q
+        e >>= 1
+    return inv
+
+
+def _det_mod(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of matrices modulo primes, one prime per matrix.
+
+    Gaussian elimination over GF(q); a zero pivot swaps in the first row
+    below it with a nonzero entry.  ``a`` (entries in [0, q)) is overwritten.
+    """
+    count, k = a.shape[0], a.shape[-1]
+    det = np.ones(count, np.int64)
+    stack = np.arange(count)
+    q1, q2 = q[:, None], q[:, None, None]
+    for c in range(k):
+        piv = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = piv != c
+        if swap.any():
+            row = a[stack, piv].copy()
+            a[stack, piv] = a[:, c]
+            a[:, c] = row
+            det = np.where(swap, q - det, det)
+        det = det * a[:, c, c] % q
+        if c + 1 < k:
+            f = a[:, c + 1:, c] * _inv_mod(a[:, c, c], q)[:, None] % q1
+            a[:, c + 1:, c + 1:] -= f[:, :, None] * a[:, None, c, c + 1:] % q2
+            a[:, c + 1:, c + 1:] %= q2
+    return det
+
+
+def _det_values_mod(block: list, points: int, primes: list) -> np.ndarray:
+    """det(block(u)) modulo each prime at u = 0..points-1; shape (points, primes).
+
+    Entries are evaluated as (u^s) @ (coefficients) in float64, with the
+    powers split into 16-bit halves: each product is below 2^47 and each
+    dot product of at most 64 terms below 2^53, so the float sums are
+    exact.  Primes are taken in blocks of at most _BUILD_BLOCK entries.
+    """
+    alpha = len(block)
+    width = max(len(c) for row in block for c in row)
+    exact = np.array([c + [0] * (width - len(c)) for row in block for c in row], dtype=object)
+    u = np.arange(points, dtype=np.int64)
+    out = np.empty((points, len(primes)), np.int64)
+    group = max(1, _BUILD_BLOCK // (points * max(alpha * alpha, width)))
+    for g in range(0, len(primes), group):
+        q = np.array(primes[g:g + group], dtype=np.int64)
+        q2, q3 = q[:, None], q[:, None, None]
+        coef = (exact % q3.astype(object)).astype(np.int64)
+        power = np.empty((q.size, points, width), np.int64)
+        power[..., 0] = 1
+        for s in range(1, width):
+            power[..., s] = power[..., s - 1] * u % q2
+        coef = np.swapaxes(coef, 1, 2).astype(float)
+        low = np.matmul((power & 0xFFFF).astype(float), coef).astype(np.int64) % q3
+        high = np.matmul((power >> 16).astype(float), coef).astype(np.int64) % q3
+        entries = ((high << 16) + low) % q3
+        out[:, g:g + group] = _det_mod(entries.reshape(-1, alpha, alpha),
+                                       np.repeat(q, points)).reshape(q.size, points).T
+    return out
+
+
+def _interpolate_mod(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Monomial coefficients, modulo each prime, of the polynomial taking
+    values[u] at u = 0..deg (Newton divided differences, then expansion)."""
+    deg = values.shape[0] - 1
+    inv = _inv_mod(np.repeat(np.arange(1, deg + 1, dtype=np.int64)[:, None], q.size, 1), q)
+    dd = values.copy()
+    for j in range(1, deg + 1):
+        dd[j:] = (dd[j:] - dd[j - 1:-1]) % q * inv[j - 1] % q
+    coef = np.zeros_like(dd)
+    coef[0] = dd[deg]
+    for j in range(deg - 1, -1, -1):     # coef <- coef * (u - j) + dd[j]
+        coef[1:] = (coef[:-1] - j * coef[1:]) % q
+        coef[0] = (dd[j] - j * coef[0]) % q
+    return coef
+
+
+def _minor_polynomial(dims: ProblemDims, drop_row: int) -> list:
+    """Exact integer coefficients of e_{drop_row}(u), the Psi minor's determinant."""
+    if dims.alpha == 0:
+        return [1]
+    block = _psi_coefficients(dims, drop_row)
+    # |e_k| <= perm(block)(1) <= prod of row sums at u = 1, all terms >= 0
+    bound = math.prod(sum(map(sum, row)) for row in block)
+    primes = _primes_beyond(2 * bound)
+    points = dims.m * dims.alpha + 2 - drop_row
+    q = np.array(primes, dtype=np.int64)
+    residues = _interpolate_mod(_det_values_mod(block, points, primes), q)
+    modulus = math.prod(primes)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    coefs = []
+    for row in residues.tolist():
+        v = sum(map(int.__mul__, row, weights)) % modulus
+        coefs.append(v - modulus if 2 * v > modulus else v)
+    return coefs
+
+
+def _null_determinant_at_zero(dims: ProblemDims) -> Fraction:
+    """d_0 = (m+p-1)! / ((n+p-1)! K(m,p,alpha)), the value that makes F0(oo) = 1."""
+    m, p = dims.m, dims.p
+    k_const = math.prod(Fraction(math.factorial(p + m + j - 1), math.factorial(p + m + 2 * j))
+                        for j in range(dims.alpha))
+    return Fraction(math.factorial(m + p - 1), math.factorial(dims.n + p - 1)) / k_const
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _minor_coefficients(m: int, n: int, p: int, drop_row: int):
+    """e_k / d_0 for e = e_{drop_row} as (mantissa in [0.5, 1), power-of-two
+    exponent) arrays; drop_row = 1 gives the null c_k.
+
+    Each mantissa is the correctly rounded quotient, so every coefficient
+    keeps full relative precision however large it is.  Cached per dims.
+    """
+    dims = ProblemDims(m, n, p)
+    d0 = _null_determinant_at_zero(dims)
+    num = [e * d0.denominator for e in _minor_polynomial(dims, drop_row)]
+    den = d0.numerator
+    mant, expo = np.empty(len(num)), np.empty(len(num), np.int64)
+    for k, c in enumerate(num):
+        e = abs(c).bit_length() - den.bit_length()
+        mant[k], shift = math.frexp((c << max(-e, 0)) / (den << max(e, 0)))
+        expo[k] = e + shift
+    mant.flags.writeable = expo.flags.writeable = False
+    return mant, expo
+
+
+def _minor_grid(dims: ProblemDims, drop_row: int, power: int, ts: np.ndarray) -> np.ndarray:
+    """(1+u)^{-power} e_{drop_row}(u) / d_0 over strictly positive finite ts,
+    a sum of positive terms.
+
+    Powers of two are kept apart: each term is mant_k 2^((x_k - s) + k log2 u)
+    with x_k its integer exponent and s, the integer part of the largest
+    exponent, subtracted exactly.
+    """
+    mant, expo = _minor_coefficients(dims.m, dims.n, dims.p, drop_row)
+    k = np.arange(mant.size)
+    out = np.empty(ts.shape)
+    step = max(1, _EVAL_BLOCK // mant.size)
+    for b in range(0, ts.size, step):
+        t = ts[b:b + step]
+        x = np.multiply.outer(-np.log2(t), k)
+        shift = np.floor((expo + x).max(axis=-1))
+        total = (mant * np.exp2((expo - shift[:, None]) + x)).sum(axis=-1)
+        out[b:b + step] = total * np.exp2(shift - power * np.log1p(1.0 / t) / math.log(2))
+    return out
+
+
 def _null_grid(dims: ProblemDims, ts: np.ndarray) -> np.ndarray:
-    """eta = 0 path: alpha x alpha Jacobi determinant, closed-form prefactor."""
-    m, n, p, alpha = dims.m, dims.n, dims.p, dims.alpha
-    logpref = (_log_k_const(dims) + math.lgamma(n + p) - math.lgamma(m + p)
-               + m * (n + p - m) * (np.log(ts) - np.log1p(ts)))
-    if alpha == 0:
-        return np.exp(logpref)
-    dsign, dlog = _det_stack(*_log_psi_block(dims, range(2, alpha + 2), ts))
-    return dsign * np.exp(logpref + dlog)
+    """eta = 0 path: (1+u)^{-N} sum_k c_k u^k over strictly positive finite ts."""
+    return _minor_grid(dims, 1, dims.m * (dims.n + dims.p - dims.m), ts)
 
 
 def _alpha0_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:

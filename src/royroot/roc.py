@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_cdf import (ProblemDims, SpikeParam, _log_k_const, cdf_null,
-                         cdf_test_statistic, psi_minor_determinant)
+from .finite_cdf import (ProblemDims, SpikeParam, _minor_grid, cdf_null,
+                         cdf_test_statistic)
 
 __all__ = [
     "BracketingError",
@@ -315,7 +315,10 @@ def low_snr_slope(dims: ProblemDims, p_false_alarm: float) -> float:
     with z = 1 - P_F, T the null quantile of the F-matrix eigenvalue at z,
     w = T/(1+T), and the minor the Jacobi-column determinant with the second
     row dropped (the row whose hypergeometric entry carries the first-order
-    spike response).
+    spike response).  The minor is an integer polynomial in 1/T with
+    nonnegative coefficients, evaluated exactly as the null CDF is; as
+    K (p+n)!/(p+m+1)! = (p+n) / ((p+m)(p+m+1) d_0), the last term is
+    (p+n)/((p+m)(p+m+1)) times w^{N+1} e_2(1/T) / d_0.
     """
     if not 0.0 < p_false_alarm < 1.0:
         raise ValueError(f"p_false_alarm must be in (0,1), got {p_false_alarm}")
@@ -325,10 +328,8 @@ def low_snr_slope(dims: ProblemDims, p_false_alarm: float) -> float:
     z = 1.0 - p_false_alarm
     T = float(_invert_null_cdf(dims, z)[0])
     w = T / (1.0 + T)
-    minor = psi_minor_determinant(dims, T, drop_row=2)
-    log_t3 = (_log_k_const(dims) + math.lgamma(p + n + 1) - math.lgamma(p + m + 2)
-              + (m * (n + p - m) + 1) * math.log(w) + minor.log_magnitude)
-    term3 = minor.sign * math.exp(log_t3)
+    minor = _minor_grid(dims, 2, m * (n + p - m) + 1, np.array([T]))[0]
+    term3 = (p + n) / ((p + m) * (p + m + 1)) * minor
     return p * (z - (p + n) / (p + m) * w * z + term3)
 
 

@@ -1,6 +1,5 @@
-"""Scalar special functions: log-gamma, Pochhammer symbols, binomials, Jacobi
-polynomials, terminating Gauss hypergeometric sums, and integer-order modified
-Bessel functions.
+"""Special functions: log Pochhammer symbols, Jacobi polynomials in log form,
+and integer-order modified Bessel functions.
 
 Large factorial ratios are composed on the natural-log scale (see
 :class:`LogScaled`); raw factorials above 170 are never formed.  All
@@ -16,14 +15,8 @@ import numpy as np
 
 __all__ = [
     "LogScaled",
-    "log_gamma",
-    "pochhammer",
     "log_pochhammer",
-    "binomial",
-    "jacobi_p",
     "jacobi_p_log",
-    "gauss_2f1_terminating",
-    "gauss_2f1_b_equals_c",
     "bessel_i",
 ]
 
@@ -63,26 +56,6 @@ class LogScaled:
                          self.sign * other.sign)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
-
-    For a negative integer -n the product is exactly 0 once k > n.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"pochhammer requires a nonnegative integer k, got {k}")
-    out = 1.0
-    for i in range(int(k)):
-        out *= a + i
-    return out
-
-
 def log_pochhammer(a: float, k: int) -> float:
     """ln (a)_k for strictly positive base a, via gamma-function ratios."""
     if a <= 0:
@@ -90,14 +63,6 @@ def log_pochhammer(a: float, k: int) -> float:
     if k < 0:
         raise ValueError(f"log_pochhammer requires k >= 0, got {k}")
     return math.lgamma(a + k) - math.lgamma(a)
-
-
-def binomial(x: float, k: int) -> float:
-    """Generalized binomial coefficient C(x, k) for real x, integer k >= 0."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"binomial requires a nonnegative integer k, got {k}")
-    k = int(k)
-    return pochhammer(x - k + 1, k) / math.factorial(k)
 
 
 def jacobi_p_log(deg, a: float, b: float, x) -> tuple:
@@ -142,49 +107,6 @@ def jacobi_p_log(deg, a: float, b: float, x) -> tuple:
         zero = (degs < 0).reshape(degs.shape + (1,) * xs.ndim)
         logmag, sign = np.where(zero, -np.inf, logmag), np.where(zero, 0.0, sign)
     return logmag, sign
-
-
-def jacobi_p(deg: int, a: float, b: float, x):
-    """Jacobi polynomial P_deg^{(a,b)}(x) for deg >= 0 and a, b > -1."""
-    if deg < 0 or deg != int(deg):
-        raise ValueError(f"jacobi_p requires a nonnegative integer degree, got {deg}")
-    if a <= -1 or b <= -1:
-        raise ValueError(f"jacobi_p requires a, b > -1, got a={a}, b={b}")
-    logmag, sign = jacobi_p_log(int(deg), a, b, x)
-    out = sign * np.exp(logmag)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def gauss_2f1_terminating(a: float, neg_int: int, c: float, z: float) -> float:
-    """2F1(a, -N; c; z) summed directly over its N+1 terms.
-
-    The second numerator parameter must be a nonpositive integer, which
-    terminates the series.  A shared running scale factor keeps partial
-    sums inside double range for large parameters.
-    """
-    if neg_int > 0 or neg_int != int(neg_int):
-        raise ValueError(f"second parameter must be a nonpositive integer, got {neg_int}")
-    nterms = int(-neg_int)
-    if c == int(c) and -nterms < c <= 0:
-        raise ValueError(f"c={c} hits a pole inside the {nterms + 1}-term sum")
-    term = 1.0
-    total = 1.0
-    scale_log = 0.0
-    for k in range(nterms):
-        term *= (a + k) * (neg_int + k) * z / ((c + k) * (k + 1))
-        total += term
-        if abs(total) > _BIG or abs(term) > _BIG:
-            term /= _BIG
-            total /= _BIG
-            scale_log += _LOG_BIG
-    return total * math.exp(scale_log)
-
-
-def gauss_2f1_b_equals_c(a: float, z: float) -> float:
-    """2F1(a, b; b; z) = (1-z)^(-a), the binomial collapse of the series."""
-    if z >= 1:
-        raise ValueError(f"requires z < 1, got {z}")
-    return (1.0 - z) ** (-a)
 
 
 def bessel_i(order: int, z: float) -> float:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from royroot.detmat import (MAX_DIM, NotPositiveDefiniteError, cholesky, det_scaled,
-                            hermitian_eigenvalues, max_generalized_eigenvalue)
+from oracles import (NotPositiveDefiniteError, cholesky, hermitian_eigenvalues,
+                     max_generalized_eigenvalue)
+from royroot.detmat import MAX_DIM, det_scaled
 
 
 def det_cofactor(rows):

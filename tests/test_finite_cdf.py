@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
+from oracles import binomial, jacobi_p
 from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _log_phi_column,
                                 cdf_lambda_max, cdf_lambda_max_general, cdf_null,
                                 cdf_test_statistic, phi_entry, psi_entry,
                                 psi_minor_determinant)
 from royroot.monte_carlo import joint_density_cdf_m2
-from royroot.specfun import binomial, jacobi_p, log_pochhammer
+from royroot.specfun import log_pochhammer
 
 
 def _log_phi_row(dims, eta, i, ts):
@@ -232,10 +233,13 @@ class TestCdfLambdaMax:
 
     def test_out_of_range_value_raises_conditioning_error(self, monkeypatch):
         # the [0,1] guard must reject assembled values beyond the 1e-9 slack
-        # instead of silently clamping them
+        # instead of silently clamping them: the single coefficient
+        # c_0 = 0.5 * 2^16 gives F0(1) = 2^15 / 2^N = 2 at N = 14
         import royroot.finite_cdf as fc
         d = ProblemDims(2, 4, 5)
-        monkeypatch.setattr(fc, "_null_grid", lambda dims, ts: np.full(ts.shape, 2.0))
+        monkeypatch.setattr(fc, "_minor_coefficients",
+                            lambda m, n, p, drop_row: (np.array([0.5]), np.array([16])))
+        assert fc._null_grid(d, np.array([1.0]))[0] == 2.0
         with pytest.raises(ConditioningError):
             fc.cdf_null(d, 1.0)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from royroot.detmat import max_generalized_eigenvalue
+from oracles import max_generalized_eigenvalue
 from royroot.finite_cdf import (ProblemDims, SpikeParam, cdf_lambda_max, cdf_null,
                                 cdf_test_statistic)
 from royroot.monte_carlo import (CHUNK_TRIALS, EmpiricalCdf, McConfig, _chunk_lambda_max,

@@ -1,0 +1,113 @@
+"""The eta = 0 CDF as an exact positive-coefficient polynomial, checked over
+the envelope m, n, p <= 64, alpha <= 16 against the paper's determinant in
+exact rational arithmetic (``oracles.null_cdf_exact``)."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oracles import null_cdf_exact
+from royroot.finite_cdf import (ProblemDims, SpikeParam, _minor_coefficients, _minor_grid,
+                                _minor_polynomial, cdf_lambda_max, cdf_null, cdf_test_statistic,
+                                psi_minor_determinant)
+from royroot.roc import calibrate_threshold
+
+# both tolerances were fixed before the sweep was first run
+CDF_REL_TOL = 1e-12
+CAL_ABS_TOL = 1e-12
+SWEEP_PF = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9])
+
+# every m the envelope allows in powers of two, alpha from 0 to 16 (five
+# cases at 16), p from m to 64
+SWEEP_DIMS = [(1, 17, 4), (1, 9, 64), (2, 18, 4), (2, 12, 64), (2, 8, 5), (3, 15, 40),
+              (4, 20, 64), (4, 20, 8), (4, 14, 7), (5, 19, 9), (8, 24, 16), (8, 18, 11),
+              (16, 26, 20), (32, 40, 64), (48, 56, 64), (64, 64, 64)]
+
+
+@pytest.mark.parametrize("dims", SWEEP_DIMS, ids=lambda d: "-".join(map(str, d)))
+def test_envelope_sweep(dims):
+    d = ProblemDims(*dims)
+    mant, expo = _minor_coefficients(*dims, 1)
+    assert mant.size == d.m * d.alpha + 1
+    # c_0 = 1: the paper's prefactor is 1 / d_0 exactly
+    assert (mant[0], expo[0]) == (0.5, 1)
+    assert np.all(mant >= 0), "a negative c_k: the positive-sum form does not hold here"
+    ts = d.kappa * calibrate_threshold(d, SWEEP_PF)
+    ts = np.append(ts, ts[-1] / 2)           # one point further into the lower tail
+    exact = [float(null_cdf_exact(*dims, t)) for t in ts]
+    for pf, f in zip(SWEEP_PF, exact):
+        assert abs(f - (1 - pf)) <= CAL_ABS_TOL, pf
+    np.testing.assert_allclose(cdf_null(d, ts), exact, rtol=CDF_REL_TOL, atol=0)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 1), (1, 9, 4), (1, 17, 64), (1, 25, 3)])
+def test_m1_coefficients_are_binomials(dims):
+    # m = 1: F0(t) = sum_{k <= alpha} C(N,k) u^k / (1+u)^N, a binomial tail
+    d = ProblemDims(*dims)
+    big_n = d.n + d.p - 1
+    coefs = _minor_polynomial(d, 1)
+    assert [Fraction(c, coefs[0]) for c in coefs] == [math.comb(big_n, k)
+                                                      for k in range(d.alpha + 1)]
+
+
+def test_small_cases_match_the_exact_determinant():
+    for dims, t in [((2, 4, 5), 1.3), ((3, 3, 6), 2.0), ((2, 3, 3), 0.25), ((5, 8, 10), 7.5)]:
+        exact = float(null_cdf_exact(*dims, t))
+        assert cdf_null(ProblemDims(*dims), t) == pytest.approx(exact, rel=CDF_REL_TOL)
+
+
+def test_null_paths_share_the_polynomial():
+    d = ProblemDims(4, 10, 12)
+    ts = np.geomspace(0.5, 80.0, 40)
+    null = cdf_null(d, ts)
+    assert np.array_equal(cdf_lambda_max(d, SpikeParam(0.0), ts), null)
+    xs = ts / d.kappa
+    assert np.array_equal(cdf_test_statistic(d, SpikeParam(0.0), xs), cdf_null(d, d.kappa * xs))
+
+
+def test_coefficients_are_built_lazily_and_cached_per_dims():
+    dims = (7, 11, 13)
+    _minor_coefficients.cache_clear()
+    d = ProblemDims(*dims)
+    assert _minor_coefficients.cache_info().currsize == 0
+    cdf_null(d, [0.5, 2.0])
+    cdf_null(d, 3.0)
+    calibrate_threshold(d, 0.1)
+    info = _minor_coefficients.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+    mant, expo = _minor_coefficients(*dims, 1)
+    assert not mant.flags.writeable and not expo.flags.writeable
+
+
+def test_coefficients_are_correctly_rounded():
+    # the mantissa and power-of-two exponent hold every c_k to half an ulp,
+    # however large it is (up to 2^200 here, about 1e375 at (32, 48, 64))
+    d = ProblemDims(4, 20, 64)
+    coefs = _minor_polynomial(d, 1)
+    mant, expo = _minor_coefficients(4, 20, 64, 1)
+    assert max(expo) > 200
+    for k, c in enumerate(coefs):
+        exact = Fraction(c, coefs[0])
+        stored = Fraction(float(mant[k])) * Fraction(2) ** int(expo[k])
+        assert 0.5 <= mant[k] < 1.0
+        assert abs(stored - exact) <= exact * Fraction(1, 2 ** 53), k
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 5), (3, 5, 4), (4, 10, 12), (2, 12, 4)])
+def test_slope_minor_matches_its_determinant(dims):
+    # e_2(u) / d_0 against the paper's constant times the float minor, where
+    # the float determinant is still accurate; every coefficient is >= 0
+    d = ProblemDims(*dims)
+    mant, _ = _minor_coefficients(*dims, 2)
+    assert mant.size == d.m * d.alpha and np.all(mant >= 0)
+    big_n = d.m * (d.n + d.p - d.m)
+    for t in (0.7, 2.0, 9.0):
+        minor = psi_minor_determinant(d, t, drop_row=2)
+        k_const = math.exp(sum(math.lgamma(d.p + d.m + j) - math.lgamma(d.p + d.m + 2 * j + 1)
+                               for j in range(d.alpha)))
+        scale = k_const * math.exp(math.lgamma(d.n + d.p) - math.lgamma(d.m + d.p))
+        expected = scale * (t / (1 + t)) ** (big_n + 1) * minor.value()
+        got = _minor_grid(d, 2, big_n + 1, np.array([t]))[0]
+        assert got == pytest.approx(expected, rel=1e-9)

@@ -77,11 +77,24 @@ class TestCalibrate:
             calibrate_threshold(ProblemDims(*dims), pf)
             assert len(calls) < worst, pf
 
+    @pytest.mark.parametrize("dims", [(4, 10, 12), (16, 20, 32)])
+    def test_exact_null_cdf_calibrates_in_few_calls(self, dims, monkeypatch):
+        # the exact null CDF makes the 1e-12 stop rule reachable, so no
+        # calibration ends on a collapsed bracket
+        import royroot.roc as roc_mod
+        calls = []
+        cdf = roc_mod.cdf_null
+        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        for pf in (1e-3, 1e-2, 0.1, 0.5):
+            calls.clear()
+            calibrate_threshold(ProblemDims(*dims), pf)
+            assert len(calls) <= 16, pf
+
     @pytest.mark.parametrize("dims", [(2, 12, 4), (2, 14, 4)])
     def test_noisy_null_cdf_still_calibrates(self, dims):
-        # at alpha >= 10 the computed null CDF carries noise of 1e-10 to 1e-8,
-        # so 1e-12 is out of reach; the bracket's end-game must still find a
-        # point within the 1e-9 stall acceptance
+        # at alpha >= 10 the float determinant carried noise of 1e-10 to 1e-8,
+        # which put 1e-12 out of reach; whatever the CDF's noise, the result
+        # must stay within the 1e-9 stall acceptance
         d = ProblemDims(*dims)
         mu = calibrate_threshold(d, 0.1)
         assert abs(cdf_test_statistic(d, SpikeParam(0.0), mu) - 0.9) <= 1e-9

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import iv as scipy_iv
 
-from royroot.specfun import (LogScaled, bessel_i, binomial, gauss_2f1_b_equals_c,
-                             gauss_2f1_terminating, jacobi_p, jacobi_p_log,
-                             log_gamma, log_pochhammer, pochhammer)
+from oracles import (binomial, gauss_2f1_b_equals_c, gauss_2f1_terminating, log_gamma,
+                     pochhammer)
+from royroot.specfun import LogScaled, bessel_i, jacobi_p_log, log_pochhammer
+
+
+def jacobi_p(deg, a, b, x):
+    """P_deg^{(a,b)}(x) as a plain value, from jacobi_p_log's (log|P|, sign)."""
+    if deg < 0 or deg != int(deg):
+        raise ValueError(f"jacobi_p requires a nonnegative integer degree, got {deg}")
+    logmag, sign = jacobi_p_log(int(deg), a, b, x)
+    out = sign * np.exp(logmag)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def jacobi_sum(deg, a, b, x):
