@@ -132,8 +132,7 @@ def _cmd_pstar(args) -> int:
         grid = np.arange(1.0, hi + 1.0)
     else:
         grid = args.grid
-    rows = [(p, roc._pd_at_continuous_p(float(p), args.nu, args.snr, args.pf))
-            for p in grid]
+    rows = [(p, roc.roc_closed_form_alpha0(args.nu * p, p, args.snr, args.pf)) for p in grid]
     _emit(args, "pstar", {"nu": args.nu, "snr": args.snr, "pf": args.pf},
           ("p", "p_detection"), rows,
           extra={"pstar_lower": lower, "pstar_upper": upper,
@@ -282,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=_parse_snr, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(_ENV_WORKERS, "1")),
+    # a string default is converted by type=int only when mc-validate parses it
+    p.add_argument("--workers", type=int, default=os.environ.get(_ENV_WORKERS, "1"),
                    help=f"parallel workers (default ${_ENV_WORKERS} or 1)")
     p.add_argument("--tolerance", type=float, default=0.005)
     p.add_argument("--dump", type=str, default=None,

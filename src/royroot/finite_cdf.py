@@ -21,6 +21,7 @@ O(1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,23 +190,28 @@ def _det_stack(logmag: np.ndarray, sign: np.ndarray):
     return dsign, dlog + colmax.sum(axis=(-1, -2))
 
 
-def _check_range(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    bad = (values < -_SLACK) | (values > 1.0 + _SLACK) | ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise ConditioningError(
-            f"CDF value {values[idx]!r} at t={ts[idx]!r} is outside [0,1] "
-            f"beyond the {_SLACK} slack; numerics bug or out-of-envelope parameters")
-    return np.clip(values, 0.0, 1.0)
-
-
-def _split_domain(t):
-    """Split array_like t into (array, scalar_flag, positive mask, inf mask)."""
+def _on_domain(grid, t):
+    """A CDF at array_like t from ``grid``, its values over strictly positive
+    finite ts: NaN raises, t <= 0 gives 0 and +inf gives 1, a value outside
+    [0, 1] beyond the slack raises ConditioningError, and a scalar t gives a
+    float."""
     ts = np.asarray(t, dtype=float)
     if np.isnan(ts).any():
         raise ValueError("t must not contain NaN")
     pos = (ts > 0) & np.isfinite(ts)
-    return ts, np.ndim(t) == 0, pos, np.isposinf(ts)
+    out = np.zeros(ts.shape)
+    out[np.isposinf(ts)] = 1.0
+    if pos.any():
+        tpos = ts[pos]
+        values = grid(tpos)
+        bad = (values < -_SLACK) | (values > 1.0 + _SLACK) | ~np.isfinite(values)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise ConditioningError(
+                f"CDF value {values[idx]!r} at t={tpos[idx]!r} is outside [0,1] "
+                f"beyond the {_SLACK} slack; numerics bug or out-of-envelope parameters")
+        out[pos] = np.clip(values, 0.0, 1.0)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
@@ -235,11 +241,13 @@ def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
 # and d_0 = (m+p-1)! / ((n+p-1)! K(m,p,alpha)) makes c_0 = 1, so that F0 -> 1
 # as t -> oo.  Every c_k found so far is >= 0 (and so is every coefficient
 # of e_2, the minor of the low-SNR slope): F0 is a sum of positive terms
-# with no cancellation, whatever alpha is.  The coefficients are built once
-# per dims from determinants modulo word-sized primes at the integer points
-# u = 0..degree, interpolated per prime and joined by the Chinese remainder
-# theorem.  The cache keeps each e_k / d_0 as a float mantissa and an integer
-# power-of-two exponent, since they reach 1e375 inside the envelope.
+# with no cancellation, whatever alpha is; so is 1 - F0(t), with r_k =
+# C(N,k) - c_k (k = 0..N) in place of c_k, as no r_k found is negative.  The
+# coefficients are built once per dims from determinants modulo word-sized
+# primes at the integer points u = 0..degree, interpolated per prime and
+# joined by the Chinese remainder theorem.  The caches keep each e_k / d_0
+# and r_k as a float mantissa and a power-of-two exponent, since they reach
+# 1e375 inside the envelope.
 
 _PRIME_BITS = 31          # products of two residues fit in int64
 _BUILD_BLOCK = 1 << 19    # int64 entries per block of the modular precompute
@@ -382,10 +390,11 @@ def _interpolate_mod(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _minor_polynomial(dims: ProblemDims, drop_row: int) -> list:
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _minor_polynomial(dims: ProblemDims, drop_row: int) -> tuple:
     """Exact integer coefficients of e_{drop_row}(u), the Psi minor's determinant."""
     if dims.alpha == 0:
-        return [1]
+        return (1,)
     block = _psi_coefficients(dims, drop_row)
     # |e_k| <= perm(block)(1) <= prod of row sums at u = 1, all terms >= 0
     bound = math.prod(sum(map(sum, row)) for row in block)
@@ -399,7 +408,7 @@ def _minor_polynomial(dims: ProblemDims, drop_row: int) -> list:
     for row in residues.tolist():
         v = sum(map(int.__mul__, row, weights)) % modulus
         coefs.append(v - modulus if 2 * v > modulus else v)
-    return coefs
+    return tuple(coefs)
 
 
 def _null_determinant_at_zero(dims: ProblemDims) -> Fraction:
@@ -410,51 +419,84 @@ def _null_determinant_at_zero(dims: ProblemDims) -> Fraction:
     return Fraction(math.factorial(m + p - 1), math.factorial(dims.n + p - 1)) / k_const
 
 
-@functools.lru_cache(maxsize=_CACHED_DIMS)
-def _minor_coefficients(m: int, n: int, p: int, drop_row: int):
-    """e_k / d_0 for e = e_{drop_row} as (mantissa in [0.5, 1), power-of-two
-    exponent) arrays; drop_row = 1 gives the null c_k.
-
-    Each mantissa is the correctly rounded quotient, so every coefficient
-    keeps full relative precision however large it is.  Cached per dims.
-    """
-    dims = ProblemDims(m, n, p)
-    d0 = _null_determinant_at_zero(dims)
-    num = [e * d0.denominator for e in _minor_polynomial(dims, drop_row)]
-    den = d0.numerator
-    mant, expo = np.empty(len(num)), np.empty(len(num), np.int64)
+def _mantissas(num: list, den: int):
+    """num[k] / den as read-only (mantissa in [0.5, 1), power-of-two exponent)
+    arrays; each mantissa is correctly rounded, and a zero has exponent -inf."""
+    mant, expo = np.empty(len(num)), np.empty(len(num))
     for k, c in enumerate(num):
         e = abs(c).bit_length() - den.bit_length()
         mant[k], shift = math.frexp((c << max(-e, 0)) / (den << max(e, 0)))
-        expo[k] = e + shift
+        expo[k] = e + shift if c else -np.inf
     mant.flags.writeable = expo.flags.writeable = False
     return mant, expo
 
 
-def _minor_grid(dims: ProblemDims, drop_row: int, power: int, ts: np.ndarray) -> np.ndarray:
-    """(1+u)^{-power} e_{drop_row}(u) / d_0 over strictly positive finite ts,
-    a sum of positive terms.
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _minor_coefficients(m: int, n: int, p: int, drop_row: int):
+    """e_k / d_0 for e = e_{drop_row} as :func:`_mantissas`; drop_row = 1
+    gives the null c_k.  Cached per dims."""
+    dims = ProblemDims(m, n, p)
+    d0 = _null_determinant_at_zero(dims)
+    return _mantissas([e * d0.denominator for e in _minor_polynomial(dims, drop_row)],
+                      d0.numerator)
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _tail_coefficients(m: int, n: int, p: int):
+    """The r_k of 1 - F0, exactly from the c_k's build, as :func:`_mantissas`.
+    Cached per dims."""
+    dims, big_n = ProblemDims(m, n, p), m * (n + p - m)
+    d0, e = _null_determinant_at_zero(dims), _minor_polynomial(dims, 1)
+    binoms = itertools.accumulate(range(big_n), lambda c, k: c * (big_n - k) // (k + 1), initial=1)
+    num = [c * d0.numerator - (e[k] * d0.denominator if k < len(e) else 0)
+           for k, c in enumerate(binoms)]
+    if min(num) < 0:
+        raise ConditioningError(f"negative tail coefficient r_{num.index(min(num))} at "
+                                f"{(m, n, p)}: 1 - F0 is not a positive sum there")
+    return _mantissas(num, d0.numerator)
+
+
+def _scaled_sums(mant: np.ndarray, expo: np.ndarray, ts: np.ndarray, mean_k: bool = False):
+    """(sum, s) of sum_k mant_k 2^expo_k u^k over strictly positive finite ts,
+    the sum scaled by 2^-s, and with mean_k the mean of k under its terms.
 
     Powers of two are kept apart: each term is mant_k 2^((x_k - s) + k log2 u)
-    with x_k its integer exponent and s, the integer part of the largest
-    exponent, subtracted exactly.
+    with x_k its exponent and s, the integer part of the largest exponent,
+    subtracted exactly.  Each t's terms are summed along their own row.
     """
-    mant, expo = _minor_coefficients(dims.m, dims.n, dims.p, drop_row)
     k = np.arange(mant.size)
-    out = np.empty(ts.shape)
+    out = np.empty((3 if mean_k else 2,) + ts.shape)
     step = max(1, _EVAL_BLOCK // mant.size)
     for b in range(0, ts.size, step):
-        t = ts[b:b + step]
-        x = np.multiply.outer(-np.log2(t), k)
-        shift = np.floor((expo + x).max(axis=-1))
-        total = (mant * np.exp2((expo - shift[:, None]) + x)).sum(axis=-1)
-        out[b:b + step] = total * np.exp2(shift - power * np.log1p(1.0 / t) / math.log(2))
+        x = np.multiply.outer(-np.log2(ts[b:b + step]), k)
+        out[1, b:b + step] = shift = np.floor((expo + x).max(axis=-1))
+        terms = mant * np.exp2((expo - shift[:, None]) + x)
+        out[0, b:b + step] = terms.sum(axis=-1)
+        if mean_k:
+            out[2, b:b + step] = (k * terms).sum(axis=-1) / out[0, b:b + step]
     return out
+
+
+def _minor_grid(dims: ProblemDims, drop_row: int, power: int, ts: np.ndarray) -> np.ndarray:
+    """(1+u)^{-power} e_{drop_row}(u) / d_0 over strictly positive finite ts,
+    a sum of positive terms."""
+    total, shift = _scaled_sums(*_minor_coefficients(dims.m, dims.n, dims.p, drop_row), ts)
+    return total * np.exp2(shift - power * np.log1p(1.0 / ts) / math.log(2))
 
 
 def _null_grid(dims: ProblemDims, ts: np.ndarray) -> np.ndarray:
     """eta = 0 path: (1+u)^{-N} sum_k c_k u^k over strictly positive finite ts."""
     return _minor_grid(dims, 1, dims.m * (dims.n + dims.p - dims.m), ts)
+
+
+def _null_logit(dims: ProblemDims, ts: np.ndarray):
+    """logit F0 and its derivative in log t over strictly positive finite ts:
+    the log ratio of the c_k and r_k sums, whose (1+u)^{-N} cancels, and the
+    mean of k under the r_k terms less that under the c_k terms."""
+    m, n, p = dims.m, dims.n, dims.p
+    head, h_shift, h_mean = _scaled_sums(*_minor_coefficients(m, n, p, 1), ts, True)
+    tail, t_shift, t_mean = _scaled_sums(*_tail_coefficients(m, n, p), ts, True)
+    return np.log(head / tail) + (h_shift - t_shift) * math.log(2), t_mean - h_mean
 
 
 def _alpha0_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
@@ -523,19 +565,10 @@ def cdf_lambda_max(dims: ProblemDims, spike: SpikeParam, t):
     by more than 1e-9, which indicates a numerics bug rather than an
     acceptable rounding excursion.
     """
-    ts, scalar, pos, inf = _split_domain(t)
-    out = np.zeros(ts.shape)
-    out[inf] = 1.0
-    if pos.any():
-        tpos = ts[pos]
-        if spike.eta == 0.0:
-            vals = _null_grid(dims, tpos)
-        elif dims.alpha == 0:
-            vals = _alpha0_grid(dims, spike.eta, tpos)
-        else:
-            vals = _general_grid(dims, spike.eta, tpos)
-        out[pos] = _check_range(vals, tpos)
-    return float(out) if scalar else out
+    if spike.eta == 0.0:
+        return _on_domain(functools.partial(_null_grid, dims), t)
+    path = _alpha0_grid if dims.alpha == 0 else _general_grid
+    return _on_domain(functools.partial(path, dims, spike.eta), t)
 
 
 def cdf_lambda_max_general(dims: ProblemDims, spike: SpikeParam, t):
@@ -546,22 +579,12 @@ def cdf_lambda_max_general(dims: ProblemDims, spike: SpikeParam, t):
     """
     if spike.eta <= 0:
         raise ValueError("general path requires eta > 0")
-    ts, scalar, pos, inf = _split_domain(t)
-    out = np.zeros(ts.shape)
-    out[inf] = 1.0
-    if pos.any():
-        out[pos] = _check_range(_general_grid(dims, spike.eta, ts[pos]), ts[pos])
-    return float(out) if scalar else out
+    return _on_domain(functools.partial(_general_grid, dims, spike.eta), t)
 
 
 def cdf_null(dims: ProblemDims, t):
     """CDF of the largest eigenvalue with no spike (eta = 0)."""
-    ts, scalar, pos, inf = _split_domain(t)
-    out = np.zeros(ts.shape)
-    out[inf] = 1.0
-    if pos.any():
-        out[pos] = _check_range(_null_grid(dims, ts[pos]), ts[pos])
-    return float(out) if scalar else out
+    return _on_domain(functools.partial(_null_grid, dims), t)
 
 
 def cdf_test_statistic(dims: ProblemDims, spike: SpikeParam, x):

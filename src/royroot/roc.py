@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_cdf import (ProblemDims, SpikeParam, _minor_grid, cdf_null,
+from .finite_cdf import (ProblemDims, SpikeParam, _minor_grid, _null_logit, cdf_null,
                          cdf_test_statistic)
 
 __all__ = [
@@ -35,14 +35,14 @@ __all__ = [
     "snr_to_db",
 ]
 
-_PROB_TOL = 1e-12     # a calibration stops at |F - prob| <= this,
-_STALL_TOL = 1e-9     # or accepts this residual once its bracket collapses
-_EXPAND = 80          # the bracket search stops at T = 4^80 and 4^-80
-_MAX_STEPS = 400      # bracket search plus refinement; brackets collapse far sooner
+_TOL = 1e-12                      # stop at |logit F0(T) - logit(1 - P_F)| <= this; then
+                                  # |F0(T) - (1 - P_F)| <= this is checked too
+_LOG_T_LIMIT = 80 * math.log(4)   # roots beyond T = 4^-80 and 4^80 raise BracketingError
+_MAX_STEPS = 100                  # bisection alone reaches adjacent floats in about 60
 
 
 class BracketingError(RuntimeError):
-    """Root bracketing failed; signals out-of-envelope dimensions."""
+    """Calibration failed to bracket or reach its root; signals out-of-envelope inputs."""
 
 
 @dataclass(frozen=True)
@@ -82,80 +82,62 @@ def snr_to_db(gamma: float) -> float:
     return 10.0 * math.log10(gamma)
 
 
-def _invert_null_cdf(dims: ProblemDims, probs) -> np.ndarray:
-    """Solve cdf_null(dims, T) = prob for T (F-matrix scale), elementwise.
+def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
+    """Solve cdf_null(dims, T) = 1 - P_F for T (F-matrix scale), elementwise.
 
-    Each element steps T from 1 by factors of 4 until it brackets its root,
-    then takes false-position steps on log T against logit F with the
-    Illinois modification, bisecting T instead whenever such a step failed
-    to halve the best residual.  The null CDF behaves like a power of T at
-    both tails, so logit F is close to linear in log T.  An element stops at
-    |F - prob| <= 1e-12; if its bracket collapses first, the best point seen
-    is accepted when its residual is at most 1e-9.  Elements are
-    independent: each step evaluates the CDF only where it is still needed.
+    Newton's method from T = 1 on g = logit F0(T) - logit(1 - P_F) against
+    log T, with g and its slope taken from exact positive sums
+    (finite_cdf._null_logit), so a stop at |g| <= 1e-12 meets both P_F and
+    1 - P_F to about 1e-12 relative.  A step that would leave the bracket
+    fixed by the signs of g seen so far bisects instead; one past T = 4^+-80
+    goes to that limit, and a residual there that still points outward
+    raises BracketingError.  Each step evaluates only unfinished elements.
     """
-    probs = np.asarray(probs, dtype=float).ravel()
-    out = np.empty(probs.size)
-    idx = np.arange(probs.size)                  # elements still being solved
-    logit_p = np.log(probs) - np.log1p(-probs)
-    lo = hi = glo = ghi = np.full(probs.size, np.nan)    # bracket ends, NaN until found
-    best, rbest = np.ones(probs.size), np.full(probs.size, np.inf)
-    last_lo = secant = np.zeros(probs.size, dtype=bool)
-    t = np.ones(probs.size)
-    for step in range(_MAX_STEPS):
+    pf = np.asarray(p_false_alarm, dtype=float).ravel()
+    out, idx = np.empty(pf.size), np.arange(pf.size)      # idx: elements still being solved
+    target = np.log1p(-pf) - np.log(pf)
+    x, lo, hi = np.zeros(pf.size), np.full(pf.size, -np.inf), np.full(pf.size, np.inf)
+    for _ in range(_MAX_STEPS):
         if idx.size == 0:
             break
-        f = np.broadcast_to(cdf_null(dims, t), t.shape)
-        r = f - probs
-        with np.errstate(divide="ignore"):
-            g = np.log(f) - np.log1p(-f) - logit_p
-        a, abest = np.abs(r), np.abs(rbest)
-        bisect = secant & (a > 0.5 * abest)
-        best, rbest = np.where(a < abest, t, best), np.where(a < abest, r, rbest)
-        below = r < 0
-        # Illinois: halve the value at an end kept two steps in a row
-        ghi = np.where(below & last_lo, 0.5 * ghi, ghi)
-        glo = np.where(~below & ~last_lo, 0.5 * glo, glo)
-        lo, glo = np.where(below, t, lo), np.where(below, g, glo)
-        hi, ghi = np.where(below, hi, t), np.where(below, ghi, g)
-        last_lo = below
-        done = a <= _PROB_TOL
-        if step == _EXPAND:
-            for k in np.flatnonzero(~done & np.isnan(lo + hi)):
-                side, cmp = ("lower", ">") if np.isnan(lo[k]) else ("upper", "<")
-                raise BracketingError(
-                    f"no {side} bracket: cdf({t[k]:.3g}) = {f[k]:.6g} {cmp} {probs[k]}")
-        stalled = ~done & ((hi - lo <= 1e-15 * np.maximum(1.0, hi)) | (step == _MAX_STEPS - 1))
-        if (done | stalled).any():
-            for k in np.flatnonzero(stalled & (np.abs(rbest) > _STALL_TOL)):
-                raise BracketingError(f"calibration stalled on [{lo[k]:.17g}, {hi[k]:.17g}] "
-                                      f"with residual {rbest[k]:.3g}")
-            out[idx[done]], out[idx[stalled]] = t[done], best[stalled]
-            keep = ~(done | stalled)
-            idx, probs, logit_p, t, lo, hi, glo, ghi, best, rbest, last_lo, bisect = (
-                v[keep] for v in (idx, probs, logit_p, t, lo, hi, glo, ghi,
-                                  best, rbest, last_lo, bisect))
-        with np.errstate(all="ignore"):
-            ulo, uhi = np.log(lo), np.log(hi)
-            sec = np.exp(ulo - glo * (uhi - ulo) / (ghi - glo))
-        secant = ~bisect & (lo < sec) & (sec < hi)
-        t = np.where(secant, sec, 0.5 * (lo + hi))
-        t = np.where(np.isnan(hi), 4.0 * lo, np.where(np.isnan(lo), 0.25 * hi, t))
+        t = np.exp(x)
+        logit, slope = _null_logit(dims, t)
+        g = logit - target
+        done = np.abs(g) <= _TOL
+        for k in np.flatnonzero(~done & (np.abs(x) == _LOG_T_LIMIT) & (g * x < 0)):
+            raise BracketingError(f"no {'lower' if x[k] < 0 else 'upper'} bracket: "
+                                  f"cdf({t[k]:.3g}) has logit {logit[k]:.6g}, not {target[k]:.6g}")
+        out[idx[done]] = t[done]
+        lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(x - g / slope, -_LOG_T_LIMIT, _LOG_T_LIMIT)
+        mid = 0.5 * (np.fmax(lo, -_LOG_T_LIMIT) + np.fmin(hi, _LOG_T_LIMIT))
+        x = np.where((lo < step) & (step < hi), step, mid)
+        idx, target, x, lo, hi = (v[~done] for v in (idx, target, x, lo, hi))
+    if idx.size:
+        raise BracketingError(f"no convergence in {_MAX_STEPS} steps on "
+                              f"[{np.exp(lo[0]):.17g}, {np.exp(hi[0]):.17g}]")
+    miss = np.abs(cdf_null(dims, out) - (1.0 - pf)) > _TOL
+    if miss.any():
+        raise BracketingError(f"T = {out[miss][0]:.17g} misses 1 - P_F by more than {_TOL}")
     return out
 
 
 def calibrate_threshold(dims: ProblemDims, p_false_alarm):
     """Threshold mu with Pr(statistic > mu | no signal) = p_false_alarm.
 
-    Reported in the test-statistic scale; divide out kappa = p/n to land in
-    the F-matrix scale.  Accepts a scalar or an array of targets; an array
-    is calibrated in one solve, each element exactly as it would be alone.
+    Reported in the test-statistic scale; kappa * mu, kappa = p/n, is the
+    F-matrix threshold T.  The solve stops at |logit F0(T) - logit(1 - P_F)|
+    <= 1e-12, which meets both P_F and 1 - P_F to about 1e-12 relative, far
+    into either tail; a root beyond T = 4^-80 or 4^80 raises BracketingError.
+    Accepts a scalar or an array of targets; an array is calibrated in one
+    solve, each element exactly as it would be alone.
     """
     pf = np.asarray(p_false_alarm, dtype=float)
     bad = ~((0.0 < pf) & (pf < 1.0))
     if bad.any():
         raise ValueError(f"p_false_alarm must be in (0,1), got {pf[bad].flat[0]}")
-    mu = _invert_null_cdf(dims, 1.0 - pf).reshape(pf.shape) / dims.kappa
+    mu = _invert_null_cdf(dims, pf).reshape(pf.shape) / dims.kappa
     return float(mu) if np.ndim(p_false_alarm) == 0 else mu
 
 
@@ -247,12 +229,6 @@ def pstar_approx(nu: float, gamma: float, p_false_alarm: float) -> float:
     return 0.5 * (lower + upper)
 
 
-def _pd_at_continuous_p(p: float, nu: float, gamma: float, p_false_alarm: float) -> float:
-    # m = nu * p, so the closed form depends on p only through nu * p^2
-    q = 1.0 - p_false_alarm
-    return 1.0 - q / (1.0 + gamma - gamma * q ** (1.0 / (nu * p * p))) ** p
-
-
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -326,7 +302,7 @@ def low_snr_slope(dims: ProblemDims, p_false_alarm: float) -> float:
     if alpha == 0:
         return low_snr_slope_balanced(m, p, p_false_alarm)
     z = 1.0 - p_false_alarm
-    T = float(_invert_null_cdf(dims, z)[0])
+    T = float(_invert_null_cdf(dims, p_false_alarm)[0])
     w = T / (1.0 + T)
     minor = _minor_grid(dims, 2, m * (n + p - m) + 1, np.array([T]))[0]
     term3 = (p + n) / ((p + m) * (p + m + 1)) * minor

@@ -14,10 +14,9 @@ from royroot.cli import main as cli_main
 from royroot.finite_cdf import (ProblemDims, SpikeParam, cdf_lambda_max,
                                 cdf_lambda_max_general, cdf_null, cdf_test_statistic)
 from royroot.monte_carlo import McConfig, joint_density_cdf_m2, ks_distance, sample_lambda_max
-from royroot.roc import (_pd_at_continuous_p, asymptotic_roc_p_infinity,
-                         calibrate_threshold, detection_probability, low_snr_slope,
-                         low_snr_slope_balanced, optimize_pstar, pstar_approx,
-                         pstar_bounds, roc_closed_form_alpha0)
+from royroot.roc import (asymptotic_roc_p_infinity, calibrate_threshold,
+                         detection_probability, low_snr_slope, low_snr_slope_balanced,
+                         optimize_pstar, pstar_approx, pstar_bounds, roc_closed_form_alpha0)
 
 SEED = 7
 
@@ -137,8 +136,8 @@ def test_criterion_5_pstar_analysis():
                         f"(nu={nu},g={gamma},pf={pf}): p*={p_cont:.4f} "
                         f"outside ({lower:.4f},{upper:.4f})")
                 p_round = max(1, round(pstar_approx(nu, gamma, pf)))
-                pd_round = _pd_at_continuous_p(float(p_round), nu, gamma, pf)
-                pd_best = max(_pd_at_continuous_p(float(p), nu, gamma, pf)
+                pd_round = roc_closed_form_alpha0(nu * p_round, p_round, gamma, pf)
+                pd_best = max(roc_closed_form_alpha0(nu * p, p, gamma, pf)
                               for p in range(1, max(12, math.ceil(3 * upper)) + 1))
                 if abs(pd_round - pd_best) > 1e-3:
                     approx_failures.append(

@@ -247,6 +247,16 @@ def test_workers_env_default(monkeypatch, capsys):
     assert args.workers == 3
 
 
+def test_malformed_workers_env_is_a_usage_error_only_for_mc_validate(monkeypatch, capsys):
+    monkeypatch.setenv("ROYROOT_WORKERS", "abc")
+    code, out, _ = run_cli(capsys, "calibrate", "--m", "1", "--n", "1", "--p", "1",
+                           "--pf", "0.5")
+    assert code == 0 and "threshold" in out
+    code, _, err = run_cli(capsys, "mc-validate", "--m", "1", "--n", "1", "--p", "2",
+                           "--snr", "0", "--trials", "10", "--seed", "1")
+    assert code == 2 and "--workers" in err
+
+
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "royroot.cli", "calibrate",
                           "--m", "1", "--n", "1", "--p", "1", "--pf", "0.5"],

@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from oracles import null_cdf_exact
-from royroot.finite_cdf import (ProblemDims, SpikeParam, _minor_coefficients, _minor_grid,
-                                _minor_polynomial, cdf_lambda_max, cdf_null, cdf_test_statistic,
-                                psi_minor_determinant)
-from royroot.roc import calibrate_threshold
+import royroot.finite_cdf as fc
+from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _minor_coefficients,
+                                _minor_grid, _minor_polynomial, _tail_coefficients, cdf_lambda_max,
+                                cdf_null, cdf_test_statistic, psi_minor_determinant)
+from royroot.roc import BracketingError, calibrate_threshold
 
 # both tolerances were fixed before the sweep was first run
 CDF_REL_TOL = 1e-12
 CAL_ABS_TOL = 1e-12
 SWEEP_PF = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9])
+# fixed before the calibration accuracy test was first run
+CAL_REL_TOL = 1e-10
+CAL_PF = [1e-15, 1e-12, 1e-9, 1e-6, 0.5, 1 - 1e-9, 1 - 1e-12]
 
 # every m the envelope allows in powers of two, alpha from 0 to 16 (five
 # cases at 16), p from m to 64
@@ -111,3 +115,53 @@ def test_slope_minor_matches_its_determinant(dims):
         expected = scale * (t / (1 + t)) ** (big_n + 1) * minor.value()
         got = _minor_grid(d, 2, big_n + 1, np.array([t]))[0]
         assert got == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("dims", SWEEP_DIMS, ids=lambda d: "-".join(map(str, d)))
+def test_tail_coefficients_are_positive_and_complete(dims):
+    # r_k = C(N,k) - c_k exactly, up to the one correct rounding of r_k, with
+    # c_k = e_k / e_0 taken from the exact polynomial; no r_k is negative
+    d = ProblemDims(*dims)
+    big_n = d.m * (d.n + d.p - d.m)
+    e = _minor_polynomial(d, 1)
+    mant, expo = _tail_coefficients(*dims)
+    assert mant.size == big_n + 1 and np.all(mant >= 0)
+    for k in range(big_n + 1):
+        exact = math.comb(big_n, k) - (Fraction(e[k], e[0]) if k < len(e) else 0)
+        assert exact >= 0, k
+        if exact == 0:
+            assert (mant[k], expo[k]) == (0.0, -np.inf), k
+            continue
+        stored = Fraction(float(mant[k])) * Fraction(2) ** int(expo[k])
+        assert abs(stored - exact) <= exact * Fraction(1, 2 ** 53), k
+
+
+def test_negative_tail_coefficient_raises_at_build(monkeypatch):
+    # c_1 = 100 > C(N,1) = 14 at (2,4,5) would put F0 above 1 near t = oo
+    e0 = _minor_polynomial(ProblemDims(2, 4, 5), 1)[0]
+    monkeypatch.setattr(fc, "_minor_polynomial", lambda dims, drop_row: (e0, 100 * e0))
+    with pytest.raises(ConditioningError, match="negative tail coefficient r_1"):
+        _tail_coefficients.__wrapped__(2, 4, 5)
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 5), (4, 10, 12), (16, 20, 32), (2, 18, 4)],
+                         ids=lambda d: "-".join(map(str, d)))
+def test_calibration_meets_both_tails(dims):
+    # the solve runs on logit F0 as the ratio of two exact positive sums, so
+    # both P_F and 1 - P_F are met to relative accuracy deep into either tail
+    d = ProblemDims(*dims)
+    ts = d.kappa * calibrate_threshold(d, CAL_PF)
+    for pf, t in zip(map(Fraction, CAL_PF), ts):
+        err = null_cdf_exact(*dims, t) - (1 - pf)
+        assert abs(err) <= CAL_REL_TOL * min(pf, 1 - pf), float(pf)
+
+
+def test_far_tail_targets_are_met_or_refused():
+    # 1 - F0 falls like t^-(alpha+1): at (8,24,16) P_F = 1e-300 lies near
+    # t = 1e18, inside the search range; at (2,4,5) it lies beyond t = 4^80
+    d = ProblemDims(8, 24, 16)
+    t = d.kappa * calibrate_threshold(d, 1e-300)
+    tail = 1 - null_cdf_exact(8, 24, 16, t)
+    assert abs(tail - Fraction(1e-300)) <= CAL_REL_TOL * Fraction(1e-300)
+    with pytest.raises(BracketingError, match="no upper bracket"):
+        calibrate_threshold(ProblemDims(2, 4, 5), 1e-300)

@@ -38,17 +38,23 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate_threshold(ProblemDims(2, 3, 3), 1.0)
 
+    @staticmethod
+    def flat_null_logit(f):
+        # the solver's evaluator for a CDF that is f everywhere: logit f, slope 0
+        return lambda dims, t: (np.full(np.shape(t), math.log(f / (1 - f))),
+                                np.zeros(np.shape(t)))
+
     def test_bracketing_failure_is_reported(self, monkeypatch):
         # a flat CDF can never bracket the target; the error names the bracket
         import royroot.roc as roc_mod
-        monkeypatch.setattr(roc_mod, "cdf_null", lambda dims, t: 0.5)
+        monkeypatch.setattr(roc_mod, "_null_logit", self.flat_null_logit(0.5))
         with pytest.raises(BracketingError, match="bracket"):
             calibrate_threshold(ProblemDims(2, 3, 3), 0.1)
 
     def test_lower_bracketing_failure_is_reported(self, monkeypatch):
-        # the search for the lower end stops at T = 4^-80
+        # a step below T = 4^-80 stops there, and the residual still points lower
         import royroot.roc as roc_mod
-        monkeypatch.setattr(roc_mod, "cdf_null", lambda dims, t: np.full(np.shape(t), 0.95))
+        monkeypatch.setattr(roc_mod, "_null_logit", self.flat_null_logit(0.95))
         with pytest.raises(BracketingError, match=r"no lower bracket: cdf\(6.84e-49\)"):
             calibrate_threshold(ProblemDims(2, 3, 3), 0.1)
 
@@ -67,10 +73,11 @@ class TestCalibrate:
     def test_null_cdf_call_counts(self, dims, monkeypatch):
         # the solver used 37 and 41 calls on these at worst before false
         # position on log T against logit F; each count here is deterministic
+        # and counts the evaluations of the solver's residual
         import royroot.roc as roc_mod
         calls = []
-        cdf = roc_mod.cdf_null
-        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        evaluate = roc_mod._null_logit
+        monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
         worst = {(4, 10, 12): 37, (16, 20, 32): 41}[dims]
         for pf in (1e-3, 1e-2, 0.1, 0.5):
             calls.clear()
@@ -83,8 +90,8 @@ class TestCalibrate:
         # calibration ends on a collapsed bracket
         import royroot.roc as roc_mod
         calls = []
-        cdf = roc_mod.cdf_null
-        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        evaluate = roc_mod._null_logit
+        monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
         for pf in (1e-3, 1e-2, 0.1, 0.5):
             calls.clear()
             calibrate_threshold(ProblemDims(*dims), pf)
@@ -94,7 +101,7 @@ class TestCalibrate:
     def test_noisy_null_cdf_still_calibrates(self, dims):
         # at alpha >= 10 the float determinant carried noise of 1e-10 to 1e-8,
         # which put 1e-12 out of reach; whatever the CDF's noise, the result
-        # must stay within the 1e-9 stall acceptance
+        # must stay within 1e-9
         d = ProblemDims(*dims)
         mu = calibrate_threshold(d, 0.1)
         assert abs(cdf_test_statistic(d, SpikeParam(0.0), mu) - 0.9) <= 1e-9
@@ -176,8 +183,8 @@ class TestRocCurve:
     def test_one_batched_solve(self, monkeypatch):
         import royroot.roc as roc_mod
         calls = []
-        cdf = roc_mod.cdf_null
-        monkeypatch.setattr(roc_mod, "cdf_null", lambda d, t: calls.append(1) or cdf(d, t))
+        evaluate = roc_mod._null_logit
+        monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
         roc_curve(ProblemDims(5, 8, 10), 3.0, np.geomspace(1e-3, 0.8, 50))
         assert len(calls) <= 40   # 962 calls with one scalar solve per point
 
@@ -225,9 +232,8 @@ class TestPstar:
             lower, upper = pstar_bounds(nu, gamma, pf)
             p_cont, _ = optimize_pstar(nu, gamma, pf)
             assert p_cont < upper
-            from royroot.roc import _pd_at_continuous_p
-            assert _pd_at_continuous_p(p_cont, nu, gamma, pf) >= \
-                _pd_at_continuous_p(upper, nu, gamma, pf)
+            assert roc_closed_form_alpha0(nu * p_cont, p_cont, gamma, pf) >= \
+                roc_closed_form_alpha0(nu * upper, upper, gamma, pf)
 
     def test_bracket_sweep(self):
         # h(x) has the sign of dP_D/dp at x = -ln(1-P_F)/(nu p^2): negative
@@ -267,13 +273,11 @@ class TestPstar:
     def test_rounded_approx_near_integer_optimum(self):
         nu, gamma, pf = 1.0, snr_from_db(5.0), 0.1
         _, p_int = optimize_pstar(nu, gamma, pf)
-        from royroot.roc import _pd_at_continuous_p
-        best = max(_pd_at_continuous_p(float(p), nu, gamma, pf)
-                   for p in range(1, 60))
+        best = max(roc_closed_form_alpha0(nu * p, p, gamma, pf) for p in range(1, 60))
         approx_p = max(1, round(pstar_approx(nu, gamma, pf)))
-        assert _pd_at_continuous_p(float(p_int), nu, gamma, pf) == pytest.approx(
+        assert roc_closed_form_alpha0(nu * p_int, p_int, gamma, pf) == pytest.approx(
             best, abs=1e-12)
-        assert _pd_at_continuous_p(float(approx_p), nu, gamma, pf) >= best - 1e-3
+        assert roc_closed_form_alpha0(nu * approx_p, approx_p, gamma, pf) >= best - 1e-3
 
 
 class TestLowSnrSlope:
