@@ -47,6 +47,7 @@ def limit_cdf_fixed_alpha(alpha: int, x: float) -> float:
     """
     if alpha < 0 or alpha != int(alpha) or alpha > MAX_ALPHA:
         raise ValueError(f"alpha must be an integer in [0, {MAX_ALPHA}], got {alpha}")
+    alpha = int(alpha)
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
     if alpha == 0:
@@ -54,7 +55,10 @@ def limit_cdf_fixed_alpha(alpha: int, x: float) -> float:
     z = 2.0 / math.sqrt(x)
     if z > _Z_CUTOFF:
         return 0.0
-    mat = np.array([[bessel_i(j - i, z) for j in range(alpha)] for i in range(alpha)])
+    # Toeplitz in |j - i|, as I_{-k} = I_k: alpha Bessel values fill it
+    values = np.array([bessel_i(k, z) for k in range(alpha)])
+    order = np.arange(alpha)
+    mat = values[np.abs(order[:, None] - order)]
     sign, logdet = np.linalg.slogdet(mat)
     if sign == 0.0:
         return 0.0

@@ -98,8 +98,8 @@ class SpikeParam:
     eta: float
 
     def __post_init__(self):
-        if not (self.eta >= 0.0) or math.isnan(self.eta):
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +497,16 @@ def _null_logit(dims: ProblemDims, ts: np.ndarray):
     head, h_shift, h_mean = _scaled_sums(*_minor_coefficients(m, n, p, 1), ts, True)
     tail, t_shift, t_mean = _scaled_sums(*_tail_coefficients(m, n, p), ts, True)
     return np.log(head / tail) + (h_shift - t_shift) * math.log(2), t_mean - h_mean
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _logit_table(m: int, n: int, p: int, limit: float, size: int):
+    """(log t, logit F0) at size evenly spaced nodes on [-limit, limit] as
+    read-only arrays, from one :func:`_null_logit` call.  Cached per dims."""
+    nodes = np.linspace(-limit, limit, size)
+    logit = _null_logit(ProblemDims(m, n, p), np.exp(nodes))[0]
+    nodes.flags.writeable = logit.flags.writeable = False
+    return nodes, logit
 
 
 def _alpha0_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:

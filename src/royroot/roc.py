@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_cdf import (ProblemDims, SpikeParam, _minor_grid, _null_logit, cdf_null,
-                         cdf_test_statistic)
+from .finite_cdf import (ProblemDims, SpikeParam, _logit_table, _minor_grid, _null_logit,
+                         cdf_null, cdf_test_statistic)
 
 __all__ = [
     "BracketingError",
@@ -39,6 +39,7 @@ _TOL = 1e-12                      # stop at |logit F0(T) - logit(1 - P_F)| <= th
                                   # |F0(T) - (1 - P_F)| <= this is checked too
 _LOG_T_LIMIT = 80 * math.log(4)   # roots beyond T = 4^-80 and 4^80 raise BracketingError
 _MAX_STEPS = 100                  # bisection alone reaches adjacent floats in about 60
+_TABLE_NODES = 161                # logit F0 tabled at log T nodes ln 4 apart, per dims
 
 
 class BracketingError(RuntimeError):
@@ -85,18 +86,23 @@ def snr_to_db(gamma: float) -> float:
 def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
     """Solve cdf_null(dims, T) = 1 - P_F for T (F-matrix scale), elementwise.
 
-    Newton's method from T = 1 on g = logit F0(T) - logit(1 - P_F) against
-    log T, with g and its slope taken from exact positive sums
-    (finite_cdf._null_logit), so a stop at |g| <= 1e-12 meets both P_F and
-    1 - P_F to about 1e-12 relative.  A step that would leave the bracket
-    fixed by the signs of g seen so far bisects instead; one past T = 4^+-80
-    goes to that limit, and a residual there that still points outward
-    raises BracketingError.  Each step evaluates only unfinished elements.
+    Newton's method on g = logit F0(T) - logit(1 - P_F) against log T, with
+    g and its slope taken from exact positive sums (finite_cdf._null_logit),
+    so a stop at |g| <= 1e-12 meets both P_F and 1 - P_F to about 1e-12
+    relative.  Each solve starts a few steps from its root: at the target's
+    place in a per-dims table of logit F0 at 161 log T nodes, ln 4 apart
+    from -80 ln 4 to 80 ln 4, linearly interpolated and clamped to the ends.
+    A step that would leave the bracket fixed by the signs of g seen so far
+    bisects instead; one past T = 4^+-80 goes to that limit, and a residual
+    there that still points outward raises BracketingError.  Each step
+    evaluates only unfinished elements.
     """
     pf = np.asarray(p_false_alarm, dtype=float).ravel()
     out, idx = np.empty(pf.size), np.arange(pf.size)      # idx: elements still being solved
     target = np.log1p(-pf) - np.log(pf)
-    x, lo, hi = np.zeros(pf.size), np.full(pf.size, -np.inf), np.full(pf.size, np.inf)
+    nodes, table = _logit_table(dims.m, dims.n, dims.p, _LOG_T_LIMIT, _TABLE_NODES)
+    x = np.interp(target, table, nodes)
+    lo, hi = np.full(pf.size, -np.inf), np.full(pf.size, np.inf)
     for _ in range(_MAX_STEPS):
         if idx.size == 0:
             break
@@ -130,6 +136,8 @@ def calibrate_threshold(dims: ProblemDims, p_false_alarm):
     F-matrix threshold T.  The solve stops at |logit F0(T) - logit(1 - P_F)|
     <= 1e-12, which meets both P_F and 1 - P_F to about 1e-12 relative, far
     into either tail; a root beyond T = 4^-80 or 4^80 raises BracketingError.
+    The solve starts from a per-dims table of logit F0 (see
+    :func:`_invert_null_cdf`), which the first call at new dims builds.
     Accepts a scalar or an array of targets; an array is calibrated in one
     solve, each element exactly as it would be alone.
     """

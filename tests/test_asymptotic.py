@@ -53,6 +53,31 @@ class TestFixedAlphaLimit:
         with pytest.raises(ValueError):
             limit_cdf_fixed_alpha(2, 0.0)
 
+    def test_integral_float_alpha(self):
+        assert limit_cdf_fixed_alpha(2.0, 1.5) == limit_cdf_fixed_alpha(2, 1.5)
+        with pytest.raises(ValueError):
+            limit_cdf_fixed_alpha(2.5, 1.5)
+
+    @pytest.mark.parametrize("alpha", [1, 4, 8, 16])
+    def test_alpha_bessel_values_fill_the_toeplitz_matrix(self, alpha, monkeypatch):
+        # the matrix from alpha values I_0..I_{alpha-1} equals the one from all
+        # alpha^2 entries I_{j-i}, so the limit law is unchanged bit for bit
+        import royroot.asymptotic as asym_mod
+        xs = np.geomspace(1e-3, 100, 60)      # z = 2/sqrt(x) stays below the cutoff
+        expected = []
+        for x in xs:
+            z = 2.0 / math.sqrt(x)
+            mat = np.array([[bessel_i(j - i, z) for j in range(alpha)] for i in range(alpha)])
+            sign, logdet = np.linalg.slogdet(mat)
+            val = sign * math.exp(min(-1.0 / x + logdet, 700.0))
+            expected.append(float(min(max(val, 0.0), 1.0)))
+        calls = []
+        monkeypatch.setattr(asym_mod, "bessel_i",
+                            lambda k, z: calls.append(k) or bessel_i(k, z))
+        got = [limit_cdf_fixed_alpha(alpha, x) for x in xs]
+        assert np.array_equal(got, expected)
+        assert calls == list(range(alpha)) * xs.size
+
 
 class TestScaledSnrLimit:
     def test_matches_alpha0_limit_at_theta0(self):

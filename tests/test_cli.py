@@ -237,6 +237,13 @@ class TestUsageErrors:
                              "--snr", "-1", "--grid", "1:2:2:linear")
         assert code == 2
 
+    @pytest.mark.parametrize("snr", ["inf", "infdB"])
+    def test_infinite_snr(self, capsys, snr):
+        code, out, err = run_cli(capsys, "cdf", "--m", "2", "--n", "4", "--p", "5",
+                                 "--snr", snr, "--grid", "1:2:2:linear")
+        assert code == 2 and out == ""
+        assert "eta must be finite" in err
+
 
 def test_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("ROYROOT_WORKERS", "3")

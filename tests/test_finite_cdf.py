@@ -53,6 +53,11 @@ class TestProblemDims:
         with pytest.raises(ValueError):
             SpikeParam(float("nan"))
 
+    def test_spike_param_rejects_infinite_eta(self):
+        # an infinite spike made every spiked CDF a nan, caught only later
+        with pytest.raises(ValueError, match="finite"):
+            SpikeParam(float("inf"))
+
 
 class TestPsiEntry:
     def test_unit_pochhammer_at_j2(self):

@@ -97,6 +97,37 @@ class TestCalibrate:
             calibrate_threshold(ProblemDims(*dims), pf)
             assert len(calls) <= 16, pf
 
+    @pytest.mark.parametrize("dims", [(2, 4, 5), (5, 8, 10), (4, 10, 12), (16, 20, 32),
+                                      (4, 4, 8)])
+    def test_warm_start_takes_few_calls(self, dims, monkeypatch):
+        # once the dims' logit table is cached, each solve starts a few steps
+        # from its root; from T = 1 these took up to 10 calls
+        import royroot.roc as roc_mod
+        d = ProblemDims(*dims)
+        calibrate_threshold(d, 0.5)
+        calls = []
+        evaluate = roc_mod._null_logit
+        monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
+        for pf in (1e-3, 1e-2, 0.1, 0.5):
+            calls.clear()
+            calibrate_threshold(d, pf)
+            assert len(calls) <= 6, pf
+
+    def test_logit_table_is_built_once_per_dims(self, monkeypatch):
+        import royroot.finite_cdf as fc
+        sizes = []
+        evaluate = fc._null_logit
+        monkeypatch.setattr(fc, "_null_logit", lambda d, t: sizes.append(t.size) or evaluate(d, t))
+        fc._logit_table.cache_clear()
+        d = ProblemDims(3, 5, 7)
+        calibrate_threshold(d, 0.1)
+        roc_curve(d, 1.0, [0.01, 0.2])
+        low_snr_slope(d, 0.3)
+        assert sizes == [161]     # one vectorized call builds the table
+        calibrate_threshold(ProblemDims(3, 6, 7), 0.1)
+        assert sizes == [161, 161]
+        assert fc._logit_table.cache_info().currsize == 2
+
     @pytest.mark.parametrize("dims", [(2, 12, 4), (2, 14, 4)])
     def test_noisy_null_cdf_still_calibrates(self, dims):
         # at alpha >= 10 the float determinant carried noise of 1e-10 to 1e-8,
