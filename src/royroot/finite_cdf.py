@@ -198,19 +198,19 @@ def _on_domain(grid, t):
     ts = np.asarray(t, dtype=float)
     if np.isnan(ts).any():
         raise ValueError("t must not contain NaN")
-    pos = (ts > 0) & np.isfinite(ts)
+    pos = (ts > 0) & (ts < np.inf)
     out = np.zeros(ts.shape)
-    out[np.isposinf(ts)] = 1.0
+    out[ts == np.inf] = 1.0
     if pos.any():
         tpos = ts[pos]
         values = grid(tpos)
-        bad = (values < -_SLACK) | (values > 1.0 + _SLACK) | ~np.isfinite(values)
+        bad = ~((values >= -_SLACK) & (values <= 1.0 + _SLACK))     # NaN included
         if bad.any():
             idx = int(np.argmax(bad))
             raise ConditioningError(
                 f"CDF value {values[idx]!r} at t={tpos[idx]!r} is outside [0,1] "
                 f"beyond the {_SLACK} slack; numerics bug or out-of-envelope parameters")
-        out[pos] = np.clip(values, 0.0, 1.0)
+        out[pos] = np.minimum(np.maximum(values, 0.0), 1.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -456,31 +456,48 @@ def _tail_coefficients(m: int, n: int, p: int):
     return _mantissas(num, d0.numerator)
 
 
-def _scaled_sums(mant: np.ndarray, expo: np.ndarray, ts: np.ndarray, mean_k: bool = False):
-    """(sum, s) of sum_k mant_k 2^expo_k u^k over strictly positive finite ts,
-    the sum scaled by 2^-s, and with mean_k the mean of k under its terms.
+def _scaled_sums(mant: np.ndarray, expo: np.ndarray, k: np.ndarray, sizes: tuple,
+                 ts: np.ndarray, mean_k: bool = False) -> np.ndarray:
+    """Positive power sums sum_k mant_k 2^expo_k u^k, u = 1/t, of consecutive
+    coefficient segments, in one pass over strictly positive finite ts.
 
-    Powers of two are kept apart: each term is mant_k 2^((x_k - s) + k log2 u)
-    with x_k its exponent and s, the integer part of the largest exponent,
-    subtracted exactly.  Each t's terms are summed along their own row.
+    The coefficients are segments of the given sizes concatenated, and k
+    holds each one's power of u, counted from 0 within its segment.  For
+    each segment the result holds (sum, s): its sum scaled by 2^-s and s,
+    with mean_k also the mean of k under its terms.  Powers of two are kept
+    apart: each term is mant_k 2^((x_k - s) + k log2 u) with x_k its
+    exponent and s, the integer part of its segment's largest exponent,
+    subtracted exactly.  All segments share one k log2 u grid and one exp2
+    pass; each t's terms are summed along their own row, segment by segment,
+    so a one-segment call does exactly what it did alone.  Shape is
+    (len(sizes), 3 if mean_k else 2) + ts.shape.
     """
-    k = np.arange(mant.size)
-    out = np.empty((3 if mean_k else 2,) + ts.shape)
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    out = np.empty((len(sizes), 3 if mean_k else 2) + ts.shape)
+    rows = slice(None, None, 2 if mean_k else 3)    # the sum, and the k-weighted sum
     step = max(1, _EVAL_BLOCK // mant.size)
     for b in range(0, ts.size, step):
-        x = np.multiply.outer(-np.log2(ts[b:b + step]), k)
-        out[1, b:b + step] = shift = np.floor((expo + x).max(axis=-1))
-        terms = mant * np.exp2((expo - shift[:, None]) + x)
-        out[0, b:b + step] = terms.sum(axis=-1)
+        x = -np.log2(ts[b:b + step])[:, None] * k
+        shift = np.floor(np.maximum.reduceat(expo + x, starts, axis=-1))
+        out[:, 1, b:b + step] = shift.T
+        if len(sizes) > 1:
+            shift = np.repeat(shift, sizes, axis=-1)
+        terms = np.empty((2 if mean_k else 1,) + x.shape)
+        np.multiply(mant, np.exp2((expo - shift) + x), out=terms[0])
         if mean_k:
-            out[2, b:b + step] = (k * terms).sum(axis=-1) / out[0, b:b + step]
+            np.multiply(k, terms[0], out=terms[1])
+        for seg, (start, size) in enumerate(zip(starts, sizes)):
+            out[seg, rows, b:b + step] = np.add.reduce(terms[..., start:start + size], axis=-1)
+    if mean_k:
+        out[:, 2] /= out[:, 0]
     return out
 
 
 def _minor_grid(dims: ProblemDims, drop_row: int, power: int, ts: np.ndarray) -> np.ndarray:
     """(1+u)^{-power} e_{drop_row}(u) / d_0 over strictly positive finite ts,
     a sum of positive terms."""
-    total, shift = _scaled_sums(*_minor_coefficients(dims.m, dims.n, dims.p, drop_row), ts)
+    mant, expo = _minor_coefficients(dims.m, dims.n, dims.p, drop_row)
+    (total, shift), = _scaled_sums(mant, expo, np.arange(mant.size), (mant.size,), ts)
     return total * np.exp2(shift - power * np.log1p(1.0 / ts) / math.log(2))
 
 
@@ -489,24 +506,40 @@ def _null_grid(dims: ProblemDims, ts: np.ndarray) -> np.ndarray:
     return _minor_grid(dims, 1, dims.m * (dims.n + dims.p - dims.m), ts)
 
 
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _logit_coefficients(m: int, n: int, p: int):
+    """The c_k then the r_k as read-only (mantissa, exponent, k) arrays and
+    the two segment sizes: the operands of :func:`_null_logit`.  Cached per
+    dims."""
+    head, tail = _minor_coefficients(m, n, p, 1), _tail_coefficients(m, n, p)
+    sizes = (head[0].size, tail[0].size)
+    mant, expo = np.concatenate([head[0], tail[0]]), np.concatenate([head[1], tail[1]])
+    k = np.concatenate([np.arange(size) for size in sizes])
+    for v in (mant, expo, k):
+        v.flags.writeable = False
+    return mant, expo, k, sizes
+
+
 def _null_logit(dims: ProblemDims, ts: np.ndarray):
     """logit F0 and its derivative in log t over strictly positive finite ts:
     the log ratio of the c_k and r_k sums, whose (1+u)^{-N} cancels, and the
-    mean of k under the r_k terms less that under the c_k terms."""
-    m, n, p = dims.m, dims.n, dims.p
-    head, h_shift, h_mean = _scaled_sums(*_minor_coefficients(m, n, p, 1), ts, True)
-    tail, t_shift, t_mean = _scaled_sums(*_tail_coefficients(m, n, p), ts, True)
+    mean of k under the r_k terms less that under the c_k terms.  Both sums
+    come from one :func:`_scaled_sums` pass over the cached concatenation."""
+    mant, expo, k, sizes = _logit_coefficients(dims.m, dims.n, dims.p)
+    (head, h_shift, h_mean), (tail, t_shift, t_mean) = _scaled_sums(mant, expo, k, sizes, ts, True)
     return np.log(head / tail) + (h_shift - t_shift) * math.log(2), t_mean - h_mean
 
 
 @functools.lru_cache(maxsize=_CACHED_DIMS)
 def _logit_table(m: int, n: int, p: int, limit: float, size: int):
-    """(log t, logit F0) at size evenly spaced nodes on [-limit, limit] as
-    read-only arrays, from one :func:`_null_logit` call.  Cached per dims."""
+    """(log t, logit F0, its slope in log t) at size evenly spaced nodes on
+    [-limit, limit] as read-only arrays, from one :func:`_null_logit` call:
+    the knots of the solver's Hermite warm start.  Cached per dims."""
     nodes = np.linspace(-limit, limit, size)
-    logit = _null_logit(ProblemDims(m, n, p), np.exp(nodes))[0]
-    nodes.flags.writeable = logit.flags.writeable = False
-    return nodes, logit
+    logit, slope = _null_logit(ProblemDims(m, n, p), np.exp(nodes))
+    for v in (nodes, logit, slope):
+        v.flags.writeable = False
+    return nodes, logit, slope
 
 
 def _alpha0_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:

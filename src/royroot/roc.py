@@ -83,46 +83,73 @@ def snr_to_db(gamma: float) -> float:
     return 10.0 * math.log10(gamma)
 
 
+def _warm_start(dims: ProblemDims, target: np.ndarray) -> np.ndarray:
+    """log T at which each Newton solve starts: cubic Hermite interpolation of
+    log T against logit F0 on the interval of the per-dims table (161 log T
+    nodes ln 4 apart, from -80 ln 4 to 80 ln 4) that brackets the target,
+    with dlog T/dlogit = 1/slope at the knots.  The interpolation parameter
+    is clipped to [0, 1] and the start to the interval, so a target beyond
+    the table starts exactly at the nearer end."""
+    nodes, table, slope = _logit_table(dims.m, dims.n, dims.p, _LOG_T_LIMIT, _TABLE_NODES)
+    i = np.searchsorted(table[1:-1], target)      # interval [i, i+1], the end ones if beyond
+    j = i + 1
+    x0, x1, y0 = nodes[i], nodes[j], table[i]
+    h = table[j] - y0
+    s = np.minimum(np.maximum((target - y0) / h, 0.0), 1.0)
+    r = 1.0 - s
+    x = x0 + s * s * (3.0 - 2.0 * s) * (x1 - x0) + s * r * h * (r / slope[i] - s / slope[j])
+    return np.minimum(np.maximum(x, x0), x1)
+
+
 def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
     """Solve cdf_null(dims, T) = 1 - P_F for T (F-matrix scale), elementwise.
 
     Newton's method on g = logit F0(T) - logit(1 - P_F) against log T, with
-    g and its slope taken from exact positive sums (finite_cdf._null_logit),
-    so a stop at |g| <= 1e-12 meets both P_F and 1 - P_F to about 1e-12
-    relative.  Each solve starts a few steps from its root: at the target's
-    place in a per-dims table of logit F0 at 161 log T nodes, ln 4 apart
-    from -80 ln 4 to 80 ln 4, linearly interpolated and clamped to the ends.
-    A step that would leave the bracket fixed by the signs of g seen so far
-    bisects instead; one past T = 4^+-80 goes to that limit, and a residual
-    there that still points outward raises BracketingError.  Each step
-    evaluates only unfinished elements.
+    g and its slope taken from exact positive sums (finite_cdf._null_logit,
+    one pass per step for all unfinished elements), so a stop at
+    |g| <= 1e-12 meets both P_F and 1 - P_F to about 1e-12 relative.  Each
+    solve starts a step or two from its root, at :func:`_warm_start`'s
+    Hermite interpolant of the per-dims logit table.  A step that would
+    leave the bracket fixed by the signs of g seen so far bisects instead;
+    one past T = 4^+-80 goes to that limit, and a residual there that still
+    points outward raises BracketingError.  The active set shrinks only on
+    steps where an element finishes, and the loop returns once all have.
     """
     pf = np.asarray(p_false_alarm, dtype=float).ravel()
     out, idx = np.empty(pf.size), np.arange(pf.size)      # idx: elements still being solved
+    if not pf.size:
+        return out
     target = np.log1p(-pf) - np.log(pf)
-    nodes, table = _logit_table(dims.m, dims.n, dims.p, _LOG_T_LIMIT, _TABLE_NODES)
-    x = np.interp(target, table, nodes)
+    x = _warm_start(dims, target)
     lo, hi = np.full(pf.size, -np.inf), np.full(pf.size, np.inf)
-    for _ in range(_MAX_STEPS):
-        if idx.size == 0:
-            break
-        t = np.exp(x)
-        logit, slope = _null_logit(dims, t)
-        g = logit - target
-        done = np.abs(g) <= _TOL
-        for k in np.flatnonzero(~done & (np.abs(x) == _LOG_T_LIMIT) & (g * x < 0)):
-            raise BracketingError(f"no {'lower' if x[k] < 0 else 'upper'} bracket: "
-                                  f"cdf({t[k]:.3g}) has logit {logit[k]:.6g}, not {target[k]:.6g}")
-        out[idx[done]] = t[done]
-        lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(x - g / slope, -_LOG_T_LIMIT, _LOG_T_LIMIT)
-        mid = 0.5 * (np.fmax(lo, -_LOG_T_LIMIT) + np.fmin(hi, _LOG_T_LIMIT))
-        x = np.where((lo < step) & (step < hi), step, mid)
-        idx, target, x, lo, hi = (v[~done] for v in (idx, target, x, lo, hi))
-    if idx.size:
-        raise BracketingError(f"no convergence in {_MAX_STEPS} steps on "
-                              f"[{np.exp(lo[0]):.17g}, {np.exp(hi[0]):.17g}]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            t = np.exp(x)
+            logit, slope = _null_logit(dims, t)
+            g = logit - target
+            done = np.abs(g) <= _TOL
+            edge = np.abs(x) == _LOG_T_LIMIT
+            if np.count_nonzero(edge):
+                for k in np.flatnonzero(edge & (g * x < 0) & ~done):
+                    raise BracketingError(f"no {'lower' if x[k] < 0 else 'upper'} bracket: cdf("
+                                          f"{t[k]:.3g}) has logit {logit[k]:.6g}, not {target[k]:.6g}")
+            finished = np.count_nonzero(done)
+            if finished:
+                out[idx[done]] = t[done]
+                if finished == done.size:
+                    break
+                active = ~done
+                idx, target, x, g, slope, lo, hi = (v[active] for v in (idx, target, x, g, slope,
+                                                                          lo, hi))
+            lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+            x = np.minimum(np.maximum(x - g / slope, -_LOG_T_LIMIT), _LOG_T_LIMIT)
+            inside = (lo < x) & (x < hi)
+            if np.count_nonzero(inside) < inside.size:
+                mid = 0.5 * (np.fmax(lo, -_LOG_T_LIMIT) + np.fmin(hi, _LOG_T_LIMIT))
+                x = np.where(inside, x, mid)
+        else:
+            raise BracketingError(f"no convergence in {_MAX_STEPS} steps on "
+                                  f"[{np.exp(lo[0]):.17g}, {np.exp(hi[0]):.17g}]")
     miss = np.abs(cdf_null(dims, out) - (1.0 - pf)) > _TOL
     if miss.any():
         raise BracketingError(f"T = {out[miss][0]:.17g} misses 1 - P_F by more than {_TOL}")
@@ -136,8 +163,9 @@ def calibrate_threshold(dims: ProblemDims, p_false_alarm):
     F-matrix threshold T.  The solve stops at |logit F0(T) - logit(1 - P_F)|
     <= 1e-12, which meets both P_F and 1 - P_F to about 1e-12 relative, far
     into either tail; a root beyond T = 4^-80 or 4^80 raises BracketingError.
-    The solve starts from a per-dims table of logit F0 (see
-    :func:`_invert_null_cdf`), which the first call at new dims builds.
+    The solve starts at a Hermite interpolant of a per-dims table of logit
+    F0 and its slope (see :func:`_warm_start`), which the first call at new
+    dims builds, and evaluates both exact sums in one pass per step.
     Accepts a scalar or an array of targets; an array is calibrated in one
     solve, each element exactly as it would be alone.
     """
@@ -193,7 +221,9 @@ def pstar_bounds(nu: float, gamma: float, p_false_alarm: float):
         lower = sqrt(-ln(1-P_F) / (nu ln((g+6)/(g+1.5)))),
         upper = sqrt(-ln(1-P_F) / (nu ln((g+4)/(g+1.5)))),
 
-    and lower < p* < upper for every g > 0, nu > 0 and P_F in (0,1).  The
+    and lower < p* < upper for every finite g > 0, finite nu > 0 and P_F in
+    (0,1); an infinite g or nu leaves no bracket (both ends are 0 or
+    undefined) and raises ValueError.  The
     bracket is derived here from the n = m closed form of
     :func:`roc_closed_form_alpha0`; it is not a formula of the paper.
 
@@ -219,8 +249,8 @@ def pstar_bounds(nu: float, gamma: float, p_false_alarm: float):
     middle one becomes 16g^5 + 2136g^4 + 29844g^3 + 139293g^2 + 163944g
     + 7776 > 0.
     """
-    if not (nu > 0 and gamma > 0 and 0.0 < p_false_alarm < 1.0):
-        raise ValueError("require nu > 0, gamma > 0 and p_false_alarm in (0,1)")
+    if not (0 < nu < math.inf and 0 < gamma < math.inf and 0.0 < p_false_alarm < 1.0):
+        raise ValueError("require finite nu > 0, finite gamma > 0 and p_false_alarm in (0,1)")
     top = -math.log1p(-p_false_alarm)
     lower = math.sqrt(top / (nu * math.log1p(4.5 / (gamma + 1.5))))
     upper = math.sqrt(top / (nu * math.log1p(2.5 / (gamma + 1.5))))

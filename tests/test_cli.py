@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,13 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert "eta must be finite" in err
 
+    @pytest.mark.parametrize("flag,value", [("--snr", "inf"), ("--snr", "infdB"), ("--nu", "inf")])
+    def test_pstar_rejects_infinite_input(self, capsys, flag, value):
+        argv = {"--nu": "0.5", "--snr": "10", "--pf": "0.1", flag: value}
+        code, out, err = run_cli(capsys, "pstar", *(a for item in argv.items() for a in item))
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 def test_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("ROYROOT_WORKERS", "3")
@@ -306,3 +314,13 @@ def test_output_is_byte_identical_to_golden_file(capsys, name):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"cli_{name}.txt"
     assert out.encode("ascii") == golden.read_bytes()
+
+
+def test_import_loads_no_optional_modules():
+    # `import royroot` needs numpy only; scipy alone added about 265 ms to it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, royroot; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'sympy'}))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,8 +11,9 @@ import pytest
 from oracles import null_cdf_exact
 import royroot.finite_cdf as fc
 from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _minor_coefficients,
-                                _minor_grid, _minor_polynomial, _tail_coefficients, cdf_lambda_max,
-                                cdf_null, cdf_test_statistic, psi_minor_determinant)
+                                _minor_grid, _minor_polynomial, _null_determinant_at_zero,
+                                _null_logit, _tail_coefficients, cdf_lambda_max, cdf_null,
+                                cdf_test_statistic, psi_minor_determinant)
 from royroot.roc import BracketingError, calibrate_threshold
 
 # both tolerances were fixed before the sweep was first run
@@ -22,6 +23,11 @@ SWEEP_PF = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9])
 # fixed before the calibration accuracy test was first run
 CAL_REL_TOL = 1e-10
 CAL_PF = [1e-15, 1e-12, 1e-9, 1e-6, 0.5, 1 - 1e-9, 1 - 1e-12]
+# fixed before the one-pass evaluator was first checked: the logit to the
+# solver's 1e-12 stop rule, its slope to 1e-11 relative
+LOGIT_ABS_TOL = 1e-12
+SLOPE_REL_TOL = 1e-11
+LOGIT_PF = [1 - 1e-15, 0.9, 0.5, 1e-3, 1e-12]    # F0 from about 1e-15 to 1 - 1e-12
 
 # every m the envelope allows in powers of two, alpha from 0 to 16 (five
 # cases at 16), p from m to 64
@@ -165,3 +171,36 @@ def test_far_tail_targets_are_met_or_refused():
     assert abs(tail - Fraction(1e-300)) <= CAL_REL_TOL * Fraction(1e-300)
     with pytest.raises(BracketingError, match="no upper bracket"):
         calibrate_threshold(ProblemDims(2, 4, 5), 1e-300)
+
+
+def exact_logit_and_slope(dims, t):
+    """logit F0 and its slope in log t at the binary float t, exactly: with
+    c_k = e_k / d_0, r_k = C(N,k) - c_k and u = 1/t, the log of
+    sum c_k u^k / sum r_k u^k, and the mean of k under the r-terms less that
+    under the c-terms, all as integer sums over a common denominator."""
+    d = ProblemDims(*dims)
+    big_n = d.m * (d.n + d.p - d.m)
+    d0, e = _null_determinant_at_zero(d), _minor_polynomial(d, 1)
+    c = [v * d0.denominator for v in e] + [0] * (big_n + 1 - len(e))
+    r = [math.comb(big_n, k) * d0.numerator - ck for k, ck in enumerate(c)]
+    num, den = float(t).as_integer_ratio()        # u = den / num
+    powers = [den ** k * num ** (big_n - k) for k in range(big_n + 1)]
+    s_c, s_r = (sum(a * q for a, q in zip(coefs, powers)) for coefs in (c, r))
+    w_c, w_r = (sum(k * a * q for k, (a, q) in enumerate(zip(coefs, powers))) for coefs in (c, r))
+    return math.log(s_c / s_r), float(Fraction(w_r * s_c - w_c * s_r, s_r * s_c))
+
+
+@pytest.mark.parametrize("dims", [(2, 8, 5), (4, 14, 7), (16, 26, 20), (8, 24, 16), (4, 20, 64)],
+                         ids=lambda d: "-".join(map(str, d)))
+def test_null_logit_matches_exact_arithmetic(dims):
+    # the one-pass evaluator of the solver, in one batch over both tails
+    d = ProblemDims(*dims)
+    ts = d.kappa * calibrate_threshold(d, LOGIT_PF)
+    ts = np.append(ts, [ts[0] / 2, ts[-1] * 2])
+    logit, slope = _null_logit(d, ts)
+    for t, got_logit, got_slope in zip(ts, logit, slope):
+        want_logit, want_slope = exact_logit_and_slope(dims, t)
+        assert abs(got_logit - want_logit) <= LOGIT_ABS_TOL, t
+        assert abs(got_slope - want_slope) <= SLOPE_REL_TOL * abs(want_slope), t
+    # the ends of the range: F0 from about 1e-15 to 1 - 1e-12
+    assert logit[0] < math.log(2e-15) and logit[4] > math.log(1e11)

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from royroot.finite_cdf import ProblemDims, SpikeParam, cdf_test_statistic
-from royroot.roc import (BracketingError, RocCurve, RocPoint, asymptotic_roc_p_infinity,
+from royroot.finite_cdf import ProblemDims, SpikeParam, _logit_table, cdf_test_statistic
+from royroot.roc import (_LOG_T_LIMIT, _TABLE_NODES, BracketingError, RocCurve, RocPoint,
+                         _warm_start, asymptotic_roc_p_infinity,
                          asymptotic_roc_scaled, calibrate_threshold,
                          detection_probability, low_snr_slope, low_snr_slope_balanced,
                          optimize_pstar, pstar_approx, pstar_bounds,
                          roc_closed_form_alpha0, roc_curve, snr_from_db, snr_to_db)
+
+# the dims at which the benchmark calibrates
+BENCH_DIMS = [(2, 4, 5), (5, 8, 10), (4, 4, 8), (4, 10, 12), (16, 20, 32)]
 
 
 class TestCalibrate:
@@ -112,6 +116,40 @@ class TestCalibrate:
             calls.clear()
             calibrate_threshold(d, pf)
             assert len(calls) <= 6, pf
+
+    def test_hermite_start_saves_evaluations(self, monkeypatch):
+        # 44 scalar solves at each benchmark dims, tables cached: the linearly
+        # interpolated start took 659 evaluations on these targets; the bound
+        # was fixed before the Hermite start was first run against it
+        import royroot.roc as roc_mod
+        rng = np.random.default_rng(20261018)
+        pfs = np.concatenate([10.0 ** rng.uniform(-14, math.log10(0.99), 40),
+                              [1e-3, 1e-2, 0.1, 0.5]])
+        dims = [ProblemDims(*d) for d in BENCH_DIMS]
+        for d in dims:
+            calibrate_threshold(d, 0.5)
+        calls = []
+        evaluate = roc_mod._null_logit
+        monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
+        for d in dims:
+            for pf in pfs:
+                calibrate_threshold(d, float(pf))
+        assert len(calls) <= 600
+
+    @pytest.mark.parametrize("dims", BENCH_DIMS + [(8, 24, 16), (1, 17, 4)])
+    def test_hermite_start_stays_in_its_interval(self, dims):
+        # every start lies in a node interval whose logit values bracket the
+        # target; a target beyond the table starts exactly at the nearer end
+        d = ProblemDims(*dims)
+        nodes, table, _ = _logit_table(*dims, _LOG_T_LIMIT, _TABLE_NODES)
+        rng = np.random.default_rng(3)
+        targets = np.concatenate([rng.uniform(table[0], table[-1], 300), table,
+                                  0.5 * (table[1:] + table[:-1])])
+        for y, x in zip(targets, _warm_start(d, targets)):
+            around = (table[:-1] <= y) & (y <= table[1:]) & (nodes[:-1] <= x) & (x <= nodes[1:])
+            assert around.any(), (y, x)
+        beyond = _warm_start(d, np.array([table[0] - 1.0, -np.inf, table[-1] + 1.0, np.inf]))
+        assert beyond.tolist() == [-_LOG_T_LIMIT] * 2 + [_LOG_T_LIMIT] * 2
 
     def test_logit_table_is_built_once_per_dims(self, monkeypatch):
         import royroot.finite_cdf as fc
@@ -281,6 +319,15 @@ class TestPstar:
                     p_cont, _ = optimize_pstar(nu, g, pf)
                     assert lower < p_cont < upper, (nu, g, pf)
                     assert h(a / (nu * upper ** 2), g) < 0.0 < h(a / (nu * lower ** 2), g)
+
+    @pytest.mark.parametrize("nu,gamma", [(1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf),
+                                          (1.0, math.nan), (math.nan, 1.0)])
+    def test_bounds_reject_non_finite_inputs(self, nu, gamma):
+        # an infinite SNR or ratio sent the upper end through a division by 0
+        with pytest.raises(ValueError, match="finite"):
+            pstar_bounds(nu, gamma, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            optimize_pstar(nu, gamma, 0.1)
 
     def test_bounds_scale_like_sqrt_gamma(self):
         l1, u1 = pstar_bounds(0.5, 1e2, 0.1)
