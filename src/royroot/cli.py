@@ -9,6 +9,7 @@ Exit status: 0 success, 1 validation failure (mc-validate over tolerance),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -49,6 +50,14 @@ def _parse_snr(text: str) -> float:
     if gamma < 0:
         raise argparse.ArgumentTypeError(f"linear SNR must be >= 0, got {gamma}")
     return gamma
+
+
+def _parse_tolerance(text: str) -> float:
+    """A KS tolerance: finite and > 0, or no run could pass or fail by it."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text}")
+    return tol
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -191,12 +200,16 @@ def _cmd_mc_validate(args) -> int:
     dims = _dims(args)
     spike = SpikeParam(args.snr)
     config = monte_carlo.McConfig(dims, spike, args.trials, args.seed, args.workers)
-    emp = monte_carlo.sample_lambda_max(config)
-    ks = monte_carlo.ks_distance(emp, lambda x: cdf_lambda_max(dims, spike, x))
+    try:    # opened before sampling, so a bad path costs no run
+        dump = None if args.dump is None else open(args.dump, "w", encoding="ascii")
+    except OSError as exc:
+        raise _Usage(f"cannot write --dump {args.dump!r}: {exc.strerror}") from None
+    with dump or contextlib.nullcontext():
+        emp = monte_carlo.sample_lambda_max(config)
+        ks = monte_carlo.ks_distance(emp, lambda x: cdf_lambda_max(dims, spike, x))
+        if dump is not None:
+            monte_carlo.dump_samples(emp, dump)
     passed = ks < args.tolerance
-    if args.dump is not None:
-        with open(args.dump, "w", encoding="ascii") as fh:
-            monte_carlo.dump_samples(emp, fh)
     _emit(args, "mc-validate",
           {"m": dims.m, "n": dims.n, "p": dims.p, "snr": args.snr,
            "trials": args.trials, "seed": args.seed, "workers": args.workers},
@@ -284,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # a string default is converted by type=int only when mc-validate parses it
     p.add_argument("--workers", type=int, default=os.environ.get(_ENV_WORKERS, "1"),
                    help=f"parallel workers (default ${_ENV_WORKERS} or 1)")
-    p.add_argument("--tolerance", type=float, default=0.005)
+    p.add_argument("--tolerance", type=_parse_tolerance, default=0.005,
+                   help="largest KS distance that passes, finite and > 0 (default 0.005)")
     p.add_argument("--dump", type=str, default=None,
                    help="write raw samples to this file, one per line")
     p.set_defaults(func=_cmd_mc_validate)

@@ -203,15 +203,20 @@ def _on_domain(grid, t):
     out[ts == np.inf] = 1.0
     if pos.any():
         tpos = ts[pos]
-        values = grid(tpos)
-        bad = ~((values >= -_SLACK) & (values <= 1.0 + _SLACK))     # NaN included
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise ConditioningError(
-                f"CDF value {values[idx]!r} at t={tpos[idx]!r} is outside [0,1] "
-                f"beyond the {_SLACK} slack; numerics bug or out-of-envelope parameters")
-        out[pos] = np.minimum(np.maximum(values, 0.0), 1.0)
+        out[pos] = _clamped(grid(tpos), tpos)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def _clamped(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """CDF values at ts clamped to [0, 1]; one outside it beyond the slack,
+    or NaN, raises ConditioningError."""
+    bad = ~((values >= -_SLACK) & (values <= 1.0 + _SLACK))     # NaN included
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise ConditioningError(
+            f"CDF value {values[idx]!r} at t={ts[idx]!r} is outside [0,1] "
+            f"beyond the {_SLACK} slack; numerics bug or out-of-envelope parameters")
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
@@ -498,6 +503,11 @@ def _minor_grid(dims: ProblemDims, drop_row: int, power: int, ts: np.ndarray) ->
     a sum of positive terms."""
     mant, expo = _minor_coefficients(dims.m, dims.n, dims.p, drop_row)
     (total, shift), = _scaled_sums(mant, expo, np.arange(mant.size), (mant.size,), ts)
+    return _times_power(total, shift, power, ts)
+
+
+def _times_power(total: np.ndarray, shift: np.ndarray, power: int, ts: np.ndarray) -> np.ndarray:
+    """A sum from :func:`_scaled_sums`, scaled by 2^-shift, times (1+u)^{-power}."""
     return total * np.exp2(shift - power * np.log1p(1.0 / ts) / math.log(2))
 
 
@@ -521,13 +531,17 @@ def _logit_coefficients(m: int, n: int, p: int):
 
 
 def _null_logit(dims: ProblemDims, ts: np.ndarray):
-    """logit F0 and its derivative in log t over strictly positive finite ts:
-    the log ratio of the c_k and r_k sums, whose (1+u)^{-N} cancels, and the
-    mean of k under the r_k terms less that under the c_k terms.  Both sums
-    come from one :func:`_scaled_sums` pass over the cached concatenation."""
+    """logit F0, its derivative in log t, and F0 over strictly positive
+    finite ts: the log ratio of the c_k and r_k sums, whose (1+u)^{-N}
+    cancels, the mean of k under the r_k terms less that under the c_k
+    terms, and the c_k sum times (1+u)^{-N}.  Both sums come from one
+    :func:`_scaled_sums` pass over the cached concatenation; F0 is built
+    from its c_k segment as :func:`_null_grid` builds it, so it equals
+    that grid bit for bit."""
     mant, expo, k, sizes = _logit_coefficients(dims.m, dims.n, dims.p)
     (head, h_shift, h_mean), (tail, t_shift, t_mean) = _scaled_sums(mant, expo, k, sizes, ts, True)
-    return np.log(head / tail) + (h_shift - t_shift) * math.log(2), t_mean - h_mean
+    return (np.log(head / tail) + (h_shift - t_shift) * math.log(2), t_mean - h_mean,
+            _times_power(head, h_shift, dims.m * (dims.n + dims.p - dims.m), ts))
 
 
 @functools.lru_cache(maxsize=_CACHED_DIMS)
@@ -536,7 +550,7 @@ def _logit_table(m: int, n: int, p: int, limit: float, size: int):
     [-limit, limit] as read-only arrays, from one :func:`_null_logit` call:
     the knots of the solver's Hermite warm start.  Cached per dims."""
     nodes = np.linspace(-limit, limit, size)
-    logit, slope = _null_logit(ProblemDims(m, n, p), np.exp(nodes))
+    logit, slope, _ = _null_logit(ProblemDims(m, n, p), np.exp(nodes))
     for v in (nodes, logit, slope):
         v.flags.writeable = False
     return nodes, logit, slope

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_cdf import (ProblemDims, SpikeParam, _logit_table, _minor_grid, _null_logit,
-                         cdf_null, cdf_test_statistic)
+from .finite_cdf import (ProblemDims, SpikeParam, _clamped, _logit_table, _minor_grid,
+                         _null_logit, cdf_test_statistic)
+from .finite_cdf import cdf_null  # noqa: F401  not called here; perfbench/selftest.py traces roc.cdf_null
 
 __all__ = [
     "BracketingError",
@@ -39,7 +40,7 @@ _TOL = 1e-12                      # stop at |logit F0(T) - logit(1 - P_F)| <= th
                                   # |F0(T) - (1 - P_F)| <= this is checked too
 _LOG_T_LIMIT = 80 * math.log(4)   # roots beyond T = 4^-80 and 4^80 raise BracketingError
 _MAX_STEPS = 100                  # bisection alone reaches adjacent floats in about 60
-_TABLE_NODES = 161                # logit F0 tabled at log T nodes ln 4 apart, per dims
+_TABLE_NODES = 1281               # logit F0 tabled at log T nodes ln 4 / 8 apart, per dims
 
 
 class BracketingError(RuntimeError):
@@ -85,8 +86,8 @@ def snr_to_db(gamma: float) -> float:
 
 def _warm_start(dims: ProblemDims, target: np.ndarray) -> np.ndarray:
     """log T at which each Newton solve starts: cubic Hermite interpolation of
-    log T against logit F0 on the interval of the per-dims table (161 log T
-    nodes ln 4 apart, from -80 ln 4 to 80 ln 4) that brackets the target,
+    log T against logit F0 on the interval of the per-dims table (1281 log T
+    nodes ln 4 / 8 apart, from -80 ln 4 to 80 ln 4) that brackets the target,
     with dlog T/dlogit = 1/slope at the knots.  The interpolation parameter
     is clipped to [0, 1] and the start to the interval, so a target beyond
     the table starts exactly at the nearer end."""
@@ -108,24 +109,29 @@ def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
     g and its slope taken from exact positive sums (finite_cdf._null_logit,
     one pass per step for all unfinished elements), so a stop at
     |g| <= 1e-12 meets both P_F and 1 - P_F to about 1e-12 relative.  Each
-    solve starts a step or two from its root, at :func:`_warm_start`'s
-    Hermite interpolant of the per-dims logit table.  A step that would
-    leave the bracket fixed by the signs of g seen so far bisects instead;
-    one past T = 4^+-80 goes to that limit, and a residual there that still
-    points outward raises BracketingError.  The active set shrinks only on
-    steps where an element finishes, and the loop returns once all have.
+    solve starts within about 1e-6 of its root in log T, at
+    :func:`_warm_start`'s Hermite interpolant of the per-dims logit table,
+    so most finish on their second evaluation.  A step that would leave the bracket fixed by the signs of g
+    seen so far bisects instead; one past T = 4^+-80 goes to that limit, and
+    a residual there that still points outward raises BracketingError.  The
+    active set shrinks only on steps where an element finishes, and the loop
+    stops once all have.  The last evaluation of each element also gives
+    F0(T), bit for bit :func:`cdf_null`'s value, which must then lie in
+    [0, 1] up to the CDFs' slack (else ConditioningError) and within 1e-12 of
+    1 - P_F (else BracketingError).
     """
     pf = np.asarray(p_false_alarm, dtype=float).ravel()
     out, idx = np.empty(pf.size), np.arange(pf.size)      # idx: elements still being solved
     if not pf.size:
         return out
+    f0 = np.empty(pf.size)                                # F0(out), for the final check
     target = np.log1p(-pf) - np.log(pf)
     x = _warm_start(dims, target)
     lo, hi = np.full(pf.size, -np.inf), np.full(pf.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             t = np.exp(x)
-            logit, slope = _null_logit(dims, t)
+            logit, slope, cdf = _null_logit(dims, t)
             g = logit - target
             done = np.abs(g) <= _TOL
             edge = np.abs(x) == _LOG_T_LIMIT
@@ -135,7 +141,7 @@ def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
                                           f"{t[k]:.3g}) has logit {logit[k]:.6g}, not {target[k]:.6g}")
             finished = np.count_nonzero(done)
             if finished:
-                out[idx[done]] = t[done]
+                out[idx[done]], f0[idx[done]] = t[done], cdf[done]
                 if finished == done.size:
                     break
                 active = ~done
@@ -150,7 +156,7 @@ def _invert_null_cdf(dims: ProblemDims, p_false_alarm) -> np.ndarray:
         else:
             raise BracketingError(f"no convergence in {_MAX_STEPS} steps on "
                                   f"[{np.exp(lo[0]):.17g}, {np.exp(hi[0]):.17g}]")
-    miss = np.abs(cdf_null(dims, out) - (1.0 - pf)) > _TOL
+    miss = np.abs(_clamped(f0, out) - (1.0 - pf)) > _TOL
     if miss.any():
         raise BracketingError(f"T = {out[miss][0]:.17g} misses 1 - P_F by more than {_TOL}")
     return out

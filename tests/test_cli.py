@@ -171,6 +171,22 @@ class TestMcValidate:
         assert code == 1
         assert "fail" in out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        # a NaN or non-positive tolerance used to fail every run with exit 1
+        code, out, err = run_cli(capsys, *self.ARGS[:-2], "--tolerance", tolerance)
+        assert code == 2 and out == ""
+        assert f"tolerance must be finite and > 0, got {tolerance}" in err
+
+    def test_unwritable_dump_is_a_usage_error_before_sampling(self, capsys, tmp_path,
+                                                              monkeypatch):
+        import royroot.monte_carlo as mc
+        monkeypatch.setattr(mc, "sample_lambda_max", lambda config: pytest.fail("sampled"))
+        target = tmp_path / "missing" / "samples.txt"
+        code, out, err = run_cli(capsys, *self.ARGS, "--dump", str(target))
+        assert code == 2 and out == ""
+        assert err == f"royroot: cannot write --dump {str(target)!r}: No such file or directory\n"
+
     def test_dump_file(self, capsys, tmp_path):
         target = tmp_path / "samples.txt"
         code, _, _ = run_cli(capsys, "mc-validate", "--m", "1", "--n", "2", "--p", "2",

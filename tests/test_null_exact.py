@@ -197,7 +197,8 @@ def test_null_logit_matches_exact_arithmetic(dims):
     d = ProblemDims(*dims)
     ts = d.kappa * calibrate_threshold(d, LOGIT_PF)
     ts = np.append(ts, [ts[0] / 2, ts[-1] * 2])
-    logit, slope = _null_logit(d, ts)
+    logit, slope, cdf = _null_logit(d, ts)
+    assert np.array_equal(cdf, cdf_null(d, ts))       # F0 is the null CDF's, bit for bit
     for t, got_logit, got_slope in zip(ts, logit, slope):
         want_logit, want_slope = exact_logit_and_slope(dims, t)
         assert abs(got_logit - want_logit) <= LOGIT_ABS_TOL, t

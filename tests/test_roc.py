@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from royroot.finite_cdf import ProblemDims, SpikeParam, _logit_table, cdf_test_statistic
+from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _logit_table,
+                                cdf_null, cdf_test_statistic)
 from royroot.roc import (_LOG_T_LIMIT, _TABLE_NODES, BracketingError, RocCurve, RocPoint,
                          _warm_start, asymptotic_roc_p_infinity,
                          asymptotic_roc_scaled, calibrate_threshold,
@@ -44,9 +45,9 @@ class TestCalibrate:
 
     @staticmethod
     def flat_null_logit(f):
-        # the solver's evaluator for a CDF that is f everywhere: logit f, slope 0
+        # the solver's evaluator for a CDF that is f everywhere: logit f, slope 0, F0 f
         return lambda dims, t: (np.full(np.shape(t), math.log(f / (1 - f))),
-                                np.zeros(np.shape(t)))
+                                np.zeros(np.shape(t)), np.full(np.shape(t), f))
 
     def test_bracketing_failure_is_reported(self, monkeypatch):
         # a flat CDF can never bracket the target; the error names the bracket
@@ -61,6 +62,48 @@ class TestCalibrate:
         monkeypatch.setattr(roc_mod, "_null_logit", self.flat_null_logit(0.95))
         with pytest.raises(BracketingError, match=r"no lower bracket: cdf\(6.84e-49\)"):
             calibrate_threshold(ProblemDims(2, 3, 3), 0.1)
+
+    @pytest.mark.parametrize("dims", BENCH_DIMS)
+    def test_final_check_takes_the_null_cdf_bit_for_bit(self, dims, monkeypatch):
+        # the check's F0 comes from each element's last evaluation, not from
+        # a separate cdf_null call, and must be cdf_null's value at the T returned
+        import royroot.roc as roc_mod
+        checked = []
+        clamp = roc_mod._clamped
+        monkeypatch.setattr(roc_mod, "_clamped",
+                            lambda v, t: checked.append((v.copy(), t.copy())) or clamp(v, t))
+        d = ProblemDims(*dims)
+        pfs = np.array([1e-3, 1e-2, 0.1, 0.5])
+        for pf in [*pfs, pfs]:
+            checked.clear()
+            T = roc_mod._invert_null_cdf(d, pf)
+            (values, ts), = checked
+            assert np.array_equal(ts, T)
+            assert np.array_equal(values, cdf_null(d, T)), pf
+
+    @staticmethod
+    def null_logit_with_cdf(f0):
+        # the solver's evaluator with its F0 replaced by f0(F0)
+        import royroot.roc as roc_mod
+        evaluate = roc_mod._null_logit
+
+        def stub(dims, t):
+            logit, slope, cdf = evaluate(dims, t)
+            return logit, slope, f0(cdf)
+        return stub
+
+    def test_final_check_reports_a_missed_target(self, monkeypatch):
+        import royroot.roc as roc_mod
+        monkeypatch.setattr(roc_mod, "_null_logit", self.null_logit_with_cdf(lambda f: f + 1e-11))
+        with pytest.raises(BracketingError, match=r"misses 1 - P_F by more than 1e-12"):
+            calibrate_threshold(ProblemDims(2, 4, 5), 0.1)
+
+    def test_final_check_rejects_a_value_beyond_one(self, monkeypatch):
+        import royroot.roc as roc_mod
+        monkeypatch.setattr(roc_mod, "_null_logit",
+                            self.null_logit_with_cdf(lambda f: np.full_like(f, 1.0 + 1e-8)))
+        with pytest.raises(ConditioningError, match=r"outside \[0,1\] beyond the 1e-09 slack"):
+            calibrate_threshold(ProblemDims(2, 4, 5), 0.1)
 
     def test_array_of_targets(self):
         d = ProblemDims(2, 4, 5)
@@ -86,6 +129,7 @@ class TestCalibrate:
         for pf in (1e-3, 1e-2, 0.1, 0.5):
             calls.clear()
             calibrate_threshold(ProblemDims(*dims), pf)
+            assert calls, pf
             assert len(calls) < worst, pf
 
     @pytest.mark.parametrize("dims", [(4, 10, 12), (16, 20, 32)])
@@ -99,6 +143,7 @@ class TestCalibrate:
         for pf in (1e-3, 1e-2, 0.1, 0.5):
             calls.clear()
             calibrate_threshold(ProblemDims(*dims), pf)
+            assert calls, pf
             assert len(calls) <= 16, pf
 
     @pytest.mark.parametrize("dims", [(2, 4, 5), (5, 8, 10), (4, 10, 12), (16, 20, 32),
@@ -115,12 +160,14 @@ class TestCalibrate:
         for pf in (1e-3, 1e-2, 0.1, 0.5):
             calls.clear()
             calibrate_threshold(d, pf)
+            assert calls, pf
             assert len(calls) <= 6, pf
 
     def test_hermite_start_saves_evaluations(self, monkeypatch):
         # 44 scalar solves at each benchmark dims, tables cached: the linearly
-        # interpolated start took 659 evaluations on these targets; the bound
-        # was fixed before the Hermite start was first run against it
+        # interpolated start on 161 nodes took 659 evaluations on these
+        # targets and the Hermite start 566; both bounds were fixed before
+        # the 1281-node table was first run against them
         import royroot.roc as roc_mod
         rng = np.random.default_rng(20261018)
         pfs = np.concatenate([10.0 ** rng.uniform(-14, math.log10(0.99), 40),
@@ -131,10 +178,15 @@ class TestCalibrate:
         calls = []
         evaluate = roc_mod._null_logit
         monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
+        per_solve = []
         for d in dims:
             for pf in pfs:
+                before = len(calls)
                 calibrate_threshold(d, float(pf))
-        assert len(calls) <= 600
+                per_solve.append(len(calls) - before)
+        assert calls
+        assert len(calls) <= 450
+        assert max(per_solve) <= 3
 
     @pytest.mark.parametrize("dims", BENCH_DIMS + [(8, 24, 16), (1, 17, 4)])
     def test_hermite_start_stays_in_its_interval(self, dims):
@@ -161,9 +213,9 @@ class TestCalibrate:
         calibrate_threshold(d, 0.1)
         roc_curve(d, 1.0, [0.01, 0.2])
         low_snr_slope(d, 0.3)
-        assert sizes == [161]     # one vectorized call builds the table
+        assert sizes == [_TABLE_NODES]     # one vectorized call builds the table
         calibrate_threshold(ProblemDims(3, 6, 7), 0.1)
-        assert sizes == [161, 161]
+        assert sizes == [_TABLE_NODES] * 2
         assert fc._logit_table.cache_info().currsize == 2
 
     @pytest.mark.parametrize("dims", [(2, 12, 4), (2, 14, 4)])
@@ -255,6 +307,7 @@ class TestRocCurve:
         evaluate = roc_mod._null_logit
         monkeypatch.setattr(roc_mod, "_null_logit", lambda d, t: calls.append(1) or evaluate(d, t))
         roc_curve(ProblemDims(5, 8, 10), 3.0, np.geomspace(1e-3, 0.8, 50))
+        assert calls
         assert len(calls) <= 40   # 962 calls with one scalar solve per point
 
     def test_grid_validation(self):
