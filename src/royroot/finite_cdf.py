@@ -46,6 +46,9 @@ __all__ = [
 
 # CDF values may stray this far outside [0, 1] before we call it a bug
 _SLACK = 1e-9
+# dims whose per-dims constants and exact coefficients are kept
+_CACHED_DIMS = 32
+_PSI_BLOCK = 1 << 18      # Jacobi values (degree, column, t) kept per block of ts
 
 
 class ConditioningError(ArithmeticError):
@@ -57,7 +60,9 @@ class ProblemDims:
     """Detector dimensions: m receivers, n noise-only and p signal samples.
 
     Requires n >= m and p >= m (sample covariances positive definite almost
-    surely) and caps every dimension at 64, the validated numerical envelope.
+    surely) and caps every dimension at 64.  The null side is validated up
+    to alpha = 16; the spiked determinant is known wrong at some dims inside
+    the cap (see the README).
     """
 
     m: int
@@ -106,29 +111,65 @@ class SpikeParam:
 # log-scale entry evaluation, vectorized over t
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _psi_layout(dims: ProblemDims):
+    """The Psi block's per-dims constants as read-only arrays, rows i =
+    1..alpha+1 by columns j = 2..alpha+1: the Jacobi degrees m+i-j, each
+    column's parameters (j-2, beta+j-2) and the log Pochhammer factors
+    log (m+i+beta-1)_{j-2}.  Cached per dims."""
+    m, beta, alpha = dims.m, dims.beta, dims.alpha
+    i, j = np.arange(1, alpha + 2), np.arange(2, alpha + 2)
+    degs = m + i[:, None] - j
+    poch = np.array([[log_pochhammer(m + r + beta - 1, c - 2) for c in j] for r in i])
+    layout = (degs, j - 2, beta + j - 2, poch)
+    for v in layout:
+        v.flags.writeable = False
+    return layout
+
+
 def _log_psi_block(dims: ProblemDims, rows, ts: np.ndarray):
     """(log|.|, sign) of the Psi block: rows i in ``rows``, columns j = 2..alpha+1.
 
-    Psi_{i,j}(t) = (m+i+beta-1)_{j-2} P_{m+i-j}^{(j-2, beta+j-2)}(2/t+1).  Within a
-    column the Jacobi parameters are fixed and only the degree moves with the
-    row, so one recurrence per column yields the whole column.  Both arrays
-    have shape ts.shape + (len(rows), alpha).
+    Psi_{i,j}(t) = (m+i+beta-1)_{j-2} P_{m+i-j}^{(j-2, beta+j-2)}(2/t+1).  Each
+    column has its own Jacobi parameters and the degree moves with the row,
+    so one :func:`jacobi_p_log` recurrence over the array of column
+    parameters yields the whole block.  The recurrence keeps every degree
+    of every column at every t, so the 1-D ts are taken in blocks of about
+    _PSI_BLOCK such values; each value is computed alone, whatever the
+    block.  Both arrays have shape ts.shape + (len(rows), alpha).
     """
-    m, beta, alpha = dims.m, dims.beta, dims.alpha
-    rows = list(rows)
-    cols = range(2, alpha + 2)
+    degs, a, b, poch = _psi_layout(dims)
+    pick = np.asarray(rows) - 1
     x = 2.0 / ts + 1.0
-    logmag = np.empty((len(rows), alpha) + ts.shape)
-    sign = np.empty((len(rows), alpha) + ts.shape)
-    m_plus_i = m + np.array(rows)
-    for c, j in enumerate(cols):
-        logmag[:, c], sign[:, c] = jacobi_p_log(m_plus_i - j, j - 2, beta + j - 2, x)
-    poch = np.array([[log_pochhammer(m + i + beta - 1, j - 2) for j in cols] for i in rows])
-    logmag += poch.reshape(poch.shape + (1,) * ts.ndim)
-    # (row, column, t...) -> (t..., row, column), contiguous as the determinant expects
-    axes = tuple(range(2, ts.ndim + 2)) + (0, 1)
-    return (np.ascontiguousarray(logmag.transpose(axes)),
-            np.ascontiguousarray(sign.transpose(axes)))
+    step = max(1, _PSI_BLOCK // max(1, 2 * (dims.m + dims.alpha) * dims.alpha))
+    parts = [jacobi_p_log(degs[pick], a, b, x[s:s + step]) for s in range(0, x.size, step)]
+    logmag, sign = parts[0] if len(parts) == 1 else (np.concatenate(v, -1) for v in zip(*parts))
+    logmag += poch[pick][..., None]
+    # (row, column, t) -> (t, row, column)
+    return logmag.transpose(2, 0, 1), sign.transpose(2, 0, 1)
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _phi_layout(dims: ProblemDims):
+    """The Phi series' per-dims constants, as read-only arrays where they are
+    arrays: each row's term count and first term, log Q_i, the log
+    coefficient of every (row i, term k) and the powers k+i-1 and p+k+i-1
+    of those terms.  Cached per dims."""
+    m, n, p, alpha = dims.m, dims.n, dims.p, dims.alpha
+    rows = range(1, alpha + 2)
+    sizes = [alpha - i + 2 for i in rows]
+    starts = np.cumsum([0] + sizes[:-1])
+    pairs = [(i, k) for i in rows for k in range(alpha - i + 2)]
+    logq = np.array([math.lgamma(n + p + i - 1) + math.lgamma(p + i - 1)
+                     - math.lgamma(p + m + 2 * i - 2) for i in rows])
+    logc = np.array([log_pochhammer(p + i - 1, k) + math.lgamma(alpha - i + 2)
+                     - math.lgamma(k + 1) - log_pochhammer(p + m + 2 * i - 2, k)
+                     - math.lgamma(alpha - i + 2 - k) for i, k in pairs])
+    i, k = (np.array(v) for v in zip(*pairs))
+    arrays = (starts, logq, logc, k + i - 1, p + k + i - 1)
+    for v in arrays:
+        v.flags.writeable = False
+    return (tuple(sizes),) + arrays
 
 
 def _log_phi_column(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
@@ -140,38 +181,30 @@ def _log_phi_column(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray
     with Q_i = (n+p+i-2)! (p+i-2)! / (p+m+2i-3)!.  The terms of all rows are
     formed in one (term, t...) array, row by row (k = 0..alpha-i+1 for row
     i), and each row's slice gets a max-shifted exponential sum.  For eta,
-    t > 0 every term is positive, so that sum is exact to rounding.  Shape
-    is ts.shape + (alpha+1,).
+    t > 0 every term is positive, so that sum is exact to rounding.  The
+    constants come from :func:`_phi_layout`.  Shape is ts.shape + (alpha+1,).
     """
-    m, n, p, alpha = dims.m, dims.n, dims.p, dims.alpha
-    rows = range(1, alpha + 2)
-    sizes = [alpha - i + 2 for i in rows]
-    starts = np.cumsum([0] + sizes[:-1])
-    pairs = [(i, k) for i in rows for k in range(alpha - i + 2)]
-    logq = np.array([math.lgamma(n + p + i - 1) + math.lgamma(p + i - 1)
-                     - math.lgamma(p + m + 2 * i - 2) for i in rows])
-    logc = np.array([log_pochhammer(p + i - 1, k) + math.lgamma(alpha - i + 2)
-                     - math.lgamma(k + 1) - log_pochhammer(p + m + 2 * i - 2, k)
-                     - math.lgamma(alpha - i + 2 - k) for i, k in pairs])
+    sizes, starts, logq, logc, eta_power, den_power = _phi_layout(dims)
     expand = (1,) * ts.ndim
-    i, k = (np.array(v).reshape((-1,) + expand) for v in zip(*pairs))
+    col = (-1,) + expand
     log_eta_t = math.log(eta) + np.log(ts)
     log_grow = math.log1p(eta) + np.log1p(ts)
     log_den = np.log1p(eta + ts)
-    stack = (logc.reshape((-1,) + expand) + (k + i - 1) * log_eta_t + p * log_grow
-             - (p + k + i - 1) * log_den)
+    stack = (logc.reshape(col) + eta_power.reshape(col) * log_eta_t + dims.p * log_grow
+             - den_power.reshape(col) * log_den)
     peak = np.maximum.reduceat(stack, starts, axis=0)
     scaled = np.exp(stack - np.repeat(peak, sizes, axis=0))
     # numpy picks the summation order from the operand's shape (pairwise along
     # a lone t's terms), so each row's slice is summed on its own: every value
     # is then that row's series summed alone, whatever the number of ts
     sums = np.stack([scaled[s:s + size].sum(axis=0) for s, size in zip(starts, sizes)])
-    logmag = logq.reshape((-1,) + expand) + peak + np.log(sums)
+    logmag = logq.reshape(col) + peak + np.log(sums)
     return np.moveaxis(logmag, 0, -1)
 
 
+@functools.lru_cache(maxsize=_CACHED_DIMS)
 def _log_k_const(dims: ProblemDims) -> float:
-    """log of K(m,p,alpha) = prod_{j<alpha} (p+m+j-1)! / (p+m+2j)!."""
+    """log of K(m,p,alpha) = prod_{j<alpha} (p+m+j-1)! / (p+m+2j)!.  Cached per dims."""
     m, p = dims.m, dims.p
     return sum(math.lgamma(p + m + j) - math.lgamma(p + m + 2 * j + 1)
                for j in range(dims.alpha))
@@ -257,7 +290,6 @@ def _general_grid(dims: ProblemDims, eta: float, ts: np.ndarray) -> np.ndarray:
 _PRIME_BITS = 31          # products of two residues fit in int64
 _BUILD_BLOCK = 1 << 19    # int64 entries per block of the modular precompute
 _EVAL_BLOCK = 1 << 16     # (t, k) terms per block of the evaluation
-_CACHED_DIMS = 32
 
 
 def _psi_coefficients(dims: ProblemDims, drop_row: int) -> list:

@@ -197,13 +197,20 @@ def roc_closed_form_alpha0(m: int, p: int, gamma: float, p_false_alarm: float) -
     """Detection probability for the n = m detector in closed form:
 
         P_D = 1 - (1 - P_F) / (1 + gamma - gamma (1-P_F)^{1/(mp)})^p
+
+    evaluated as -expm1(ln(1-P_F) - p ln(1 + gamma (1 - (1-P_F)^{1/(mp)}))),
+    with each 1 - e^y formed by expm1 and each ln(1 + y) by log1p, so a
+    small P_F or P_D keeps its relative accuracy.  P_F = 0 and 1 give 0
+    and 1.
     """
     if not 0.0 <= p_false_alarm <= 1.0:
         raise ValueError(f"p_false_alarm out of [0,1]: {p_false_alarm}")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    q = 1.0 - p_false_alarm
-    return 1.0 - q / (1.0 + gamma - gamma * q ** (1.0 / (m * p))) ** p
+    if p_false_alarm in (0.0, 1.0):     # log1p(-1) raises
+        return float(p_false_alarm)
+    log_q = math.log1p(-p_false_alarm)
+    return -math.expm1(log_q - p * math.log1p(gamma * -math.expm1(log_q / (m * p))))
 
 
 def roc_curve(dims: ProblemDims, gamma: float, p_false_alarm_grid) -> RocCurve:

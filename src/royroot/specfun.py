@@ -65,7 +65,7 @@ def log_pochhammer(a: float, k: int) -> float:
     return math.lgamma(a + k) - math.lgamma(a)
 
 
-def jacobi_p_log(deg, a: float, b: float, x) -> tuple:
+def jacobi_p_log(deg, a, b, x) -> tuple:
     """Jacobi polynomial P_deg^{(a,b)} in (log-magnitude, sign) form.
 
     Evaluated by the three-term recurrence in the degree with running
@@ -75,37 +75,57 @@ def jacobi_p_log(deg, a: float, b: float, x) -> tuple:
     both returned arrays have shape ``deg.shape + x.shape``.  Degrees below
     zero evaluate to the zero function (the convention needed where
     repeated derivatives annihilate a polynomial).
+
+    ``a`` and ``b`` may also be 1-D arrays, one parameter pair per column:
+    the last axis of ``deg`` then runs over the pairs, and one recurrence
+    carries them all, its coefficients tabulated for every step before the
+    loop.  Each value sees the float operations, in the order, of a call
+    with its pair alone.
     """
     xs = np.asarray(x, dtype=float)
-    degs = np.asarray(deg)
+    one_pair = np.ndim(a) == np.ndim(b) == 0
+    a, b = (np.reshape(v, (-1,) + (1,) * xs.ndim) for v in (a, b))   # (pair, x...)
+    count = max(len(a), len(b))
+    degs = np.asarray(deg)[..., None] if one_pair else np.asarray(deg)
     top = int(degs.max(initial=-1))
-    level = np.ones((max(top, 0) + 1,) + xs.shape)    # P_k e^{-scale_k}, k <= top
-    scale = np.zeros(level.shape)
-    logscale = 0.0
+    # level[k] = P_k e^{-scale_k} for k <= top; the last row is the zero
+    # function, which negative degrees read
+    level = np.empty((max(top, 0) + 2, count) + xs.shape)
+    level[0], level[-1] = 1.0, 0.0
+    scale, logscale = None, 0.0          # both arrays from the first rescaling on
     pprev = pcurr = level[0]
     if top >= 1:
         pcurr = level[1] = (a + 1) + (a + b + 2) * (xs - 1) / 2
-    for nn in range(2, top + 1):
-        c1 = 2 * nn * (nn + a + b) * (2 * nn + a + b - 2)
-        c2 = 2 * nn + a + b - 1
-        c3 = (2 * nn + a + b) * (2 * nn + a + b - 2)
-        c4 = a * a - b * b
-        c5 = 2 * (nn + a - 1) * (nn + b - 1) * (2 * nn + a + b)
-        pnext = (c2 * (c3 * xs + c4) * pcurr - c5 * pprev) / c1
+    if top >= 2:
+        nn = np.arange(2, top + 1).reshape((-1, 1) + (1,) * xs.ndim)
+        s2 = 2 * nn + a + b              # the common prefix: each c groups as in its formula
+        c1 = (2 * nn * (nn + a + b) * (s2 - 2)).astype(float)
+        c5 = (2 * (nn + a - 1) * (nn + b - 1) * s2).astype(float)
+        lead = (s2 - 1) * (s2 * (s2 - 2) * xs + (a * a - b * b))   # c2 (c3 x + c4), every step
+    for s, nn in enumerate(range(2, top + 1)):
+        pnext = np.multiply(lead[s], pcurr, out=level[nn])
+        pnext -= c5[s] * pprev
+        pnext /= c1[s]
         pprev, pcurr = pcurr, pnext
         big = np.abs(pcurr) > _BIG
         if big.any():
-            pcurr = np.where(big, pcurr / _BIG, pcurr)
+            pcurr = level[nn] = np.where(big, pcurr / _BIG, pcurr)
             pprev = np.where(big, pprev / _BIG, pprev)
             logscale = np.where(big, logscale + _LOG_BIG, logscale)
-        level[nn], scale[nn] = pcurr, logscale
+            if scale is None:
+                scale = np.zeros(level.shape)
+        if scale is not None:
+            scale[nn] = logscale
+    take = (np.where(degs < 0, -1, degs), np.arange(count))
+    logmag = level[take]
+    sign = np.sign(logmag)
     with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(level)) + scale
-    take = np.maximum(degs, 0)
-    logmag, sign = logmag[take], np.sign(level[take])
-    if degs.min(initial=0) < 0:
-        zero = (degs < 0).reshape(degs.shape + (1,) * xs.ndim)
-        logmag, sign = np.where(zero, -np.inf, logmag), np.where(zero, 0.0, sign)
+        np.log(np.abs(logmag, out=logmag), out=logmag)
+    if scale is not None:
+        logmag += scale[take]
+    if one_pair:
+        shape = np.shape(deg) + xs.shape
+        return logmag.reshape(shape)[()], sign.reshape(shape)[()]
     return logmag, sign
 
 

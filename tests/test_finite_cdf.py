@@ -6,12 +6,13 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from oracles import binomial, jacobi_p
+import royroot.finite_cdf as fc
 from royroot.finite_cdf import (ConditioningError, ProblemDims, SpikeParam, _log_phi_column,
-                                cdf_lambda_max, cdf_lambda_max_general, cdf_null,
+                                _log_psi_block, cdf_lambda_max, cdf_lambda_max_general, cdf_null,
                                 cdf_test_statistic, phi_entry, psi_entry,
                                 psi_minor_determinant)
 from royroot.monte_carlo import joint_density_cdf_m2
-from royroot.specfun import log_pochhammer
+from royroot.specfun import jacobi_p_log, log_pochhammer
 
 
 def _log_phi_row(dims, eta, i, ts):
@@ -32,6 +33,24 @@ def _log_phi_row(dims, eta, i, ts):
     stack = np.stack(terms)
     peak = stack.max(axis=0)
     return logq + peak + np.log(np.exp(stack - peak).sum(axis=0))
+
+
+def _log_psi_by_column(dims, rows, ts):
+    """Reference: the Psi block assembled one column at a time, from one
+    scalar-parameter jacobi_p_log call per column."""
+    m, beta, alpha = dims.m, dims.beta, dims.alpha
+    rows = list(rows)
+    cols = range(2, alpha + 2)
+    x = 2.0 / ts + 1.0
+    logmag = np.empty((len(rows), alpha) + ts.shape)
+    sign = np.empty((len(rows), alpha) + ts.shape)
+    m_plus_i = m + np.array(rows)
+    for c, j in enumerate(cols):
+        logmag[:, c], sign[:, c] = jacobi_p_log(m_plus_i - j, j - 2, beta + j - 2, x)
+    poch = np.array([[log_pochhammer(m + i + beta - 1, j - 2) for j in cols] for i in rows])
+    logmag += poch.reshape(poch.shape + (1,) * ts.ndim)
+    axes = tuple(range(2, ts.ndim + 2)) + (0, 1)
+    return logmag.transpose(axes), sign.transpose(axes)
 
 
 class TestProblemDims:
@@ -151,6 +170,86 @@ class TestPhiEntry:
         d = ProblemDims(2, 4, 5)
         with pytest.raises(ValueError):
             phi_entry(d, SpikeParam(0.0), 1, 1.0)
+
+
+class TestPsiBlock:
+    """The Psi block from one recurrence over every column equals, bit for
+    bit, the block built one column at a time, and so does every spiked CDF
+    value built on it."""
+
+    # the benchmark's grid dims, an alpha-10 case, and (1,17,4), whose
+    # upper-right entries have negative degrees
+    CASES = [((2, 4, 5), 0.1, 500.0), ((5, 8, 10), 1.0, 500.0), ((16, 20, 32), 10.0, 1400.0),
+             ((4, 10, 12), 0.7, 60.0), ((2, 10, 4), 0.025, 10.0), ((2, 12, 4), 0.05, 200.0),
+             ((1, 17, 4), 0.05, 200.0)]
+
+    @staticmethod
+    def _outcome(call):
+        """call()'s value, or the message of the ConditioningError it raised."""
+        try:
+            return call()
+        except ConditioningError as err:
+            return str(err)
+
+    def _same(self, monkeypatch, call):
+        got = self._outcome(call)
+        with monkeypatch.context() as patch:
+            patch.setattr(fc, "_log_psi_block", _log_psi_by_column)
+            want = self._outcome(call)
+        return got == want if isinstance(got, str) else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case,lo,hi", CASES)
+    def test_block_and_cdf_equal_column_by_column(self, monkeypatch, case, lo, hi):
+        d = ProblemDims(*case)
+        rows = range(1, d.alpha + 2)
+        for ts in (np.geomspace(lo, hi, 200), np.array([lo]), np.array([np.sqrt(lo * hi)])):
+            block, ref = _log_psi_block(d, rows, ts), _log_psi_by_column(d, rows, ts)
+            assert all(np.array_equal(u, v) for u, v in zip(block, ref))
+            for eta in (1.0, 10.0):
+                assert self._same(monkeypatch, lambda: cdf_lambda_max(d, SpikeParam(eta), ts))
+        if case == (1, 17, 4):
+            assert (block[1] == 0.0).any()      # the zero entries of negative degree
+
+    @pytest.mark.parametrize("budget", [1, 700])
+    def test_blocks_of_ts_change_nothing(self, monkeypatch, budget):
+        # long grids are taken in blocks of ts, here one point or a few at a time
+        for case in [(2, 4, 5), (2, 12, 4), (16, 20, 32)]:
+            d, ts = ProblemDims(*case), np.geomspace(0.05, 200.0, 203)
+            rows = range(1, d.alpha + 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(fc, "_PSI_BLOCK", budget)
+                block = _log_psi_block(d, rows, ts)
+            ref = _log_psi_by_column(d, rows, ts)
+            assert all(np.array_equal(u, v) for u, v in zip(block, ref))
+
+    def test_rescaled_values_equal_column_by_column(self, monkeypatch):
+        # at t = 1e-4 the degree-63 entries pass 1e250, so the recurrence rescales
+        d = ProblemDims(60, 64, 64)
+        ts = np.array([1e-4, 2e-4, 1e-3])
+        block = _log_psi_block(d, range(1, d.alpha + 2), ts)
+        assert block[0].max() > math.log(1e250)
+        ref = _log_psi_by_column(d, range(1, d.alpha + 2), ts)
+        assert all(np.array_equal(u, v) for u, v in zip(block, ref))
+        for eta in (0.3, 3.0):
+            assert self._same(monkeypatch, lambda: cdf_lambda_max(d, SpikeParam(eta), ts))
+            assert self._same(monkeypatch, lambda: fc._general_grid(d, eta, ts))
+
+    def test_same_conditioning_error(self, monkeypatch):
+        d, ts = ProblemDims(8, 24, 16), np.geomspace(0.05, 200.0, 400)
+        with pytest.raises(ConditioningError):
+            cdf_lambda_max(d, SpikeParam(3.0), ts)
+        assert self._same(monkeypatch, lambda: cdf_lambda_max(d, SpikeParam(3.0), ts))
+
+    def test_parameter_arrays_equal_one_call_per_pair(self):
+        a, b = np.array([0, 3, 1, 2.5]), np.array([0, 5, 60, 0.5])
+        degs = np.array([[80, 2, -1, 7], [0, 40, 3, -2], [5, 1, 0, 12]])
+        xs = np.array([1.0, 1.7, 41.0, 1e5])    # degree 80 at 1e5 passes 1e250
+        logmag, sign = jacobi_p_log(degs, a, b, xs)
+        assert logmag.shape == sign.shape == (3, 4, 4)
+        assert logmag[0, 0, -1] > math.log(1e250)
+        for col in range(4):
+            one = jacobi_p_log(degs[:, col], a[col], b[col], xs)
+            assert np.array_equal(logmag[:, col], one[0]) and np.array_equal(sign[:, col], one[1])
 
 
 class TestCdfLambdaMax:

@@ -265,6 +265,20 @@ class TestClosedFormRoc:
         vals = [roc_closed_form_alpha0(5, p, 2.0, 0.1) for p in (5, 8, 15, 40)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("m,p,gamma", [(4, 8, 1.0), (5, 10, 3.0), (1, 1, 0.01),
+                                           (32, 64, 1e-3), (10, 10_000, 10 ** 0.5)])
+    def test_relative_accuracy_at_small_pf(self, m, p, gamma):
+        # 1 - q/(...)^p cancels at small P_F: the old form was off by 1.07e-3
+        # relative at (4, 8, 1) and P_F = 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        for pf in (1e-12, 1e-8, 0.1):
+            with mpmath.workdps(80):
+                q = 1 - mpmath.mpf(pf)
+                g = mpmath.mpf(gamma)
+                exact = 1 - q / (1 + g - g * q ** (1 / mpmath.mpf(m * p))) ** p
+                err = abs(roc_closed_form_alpha0(m, p, gamma, pf) - exact) / exact
+            assert err < 1e-15, (pf, float(err))
+
 
 class TestRocCurve:
     def test_chance_line(self):
